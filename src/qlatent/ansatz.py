@@ -120,7 +120,7 @@ def build_angle_encoder(features, n_qubits: int) -> Circuit:
 def build_trainable_encoder(n_qubits: int) -> Circuit:
     """RY encoder with trainable angles; used by the hybrid quantum layer
 
-    so that parameter-shift gradients cover the encoding angles too.
+    so that its circuit gradients cover the encoding angles too.
     """
     c = Circuit(n_qubits)
     for q in range(n_qubits):

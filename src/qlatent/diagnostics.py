@@ -81,25 +81,13 @@ def first_param_gradient_samples(circuit: Circuit, samples: int, seed: int,
     return (e[:samples] - e[samples:]) / 2.0
 
 
-def gradient_variance(spec: AnsatzSpec, samples: int, seed: int,
-                      average_over_params: bool = False) -> float:
-    """Var over random angles of the first parameter's <Z_0> gradient.
-
-    ``average_over_params=True`` instead averages the per-slot variances
-    over every trainable slot (off by default; much slower).
-    """
+def gradient_variance(spec: AnsatzSpec, samples: int, seed: int) -> float:
+    """Var over random angles of the first parameter's <Z_0> gradient."""
     if samples < 30:
         raise ValueError(f"need >= 30 samples for a variance, got {samples}")
     circuit = build_ansatz(spec, np.zeros(param_count(spec)))
-    if not average_over_params:
-        g = first_param_gradient_samples(circuit, samples, seed)
-        return float(np.var(g, ddof=1))
-    variances = []
-    for idx in range(circuit.n_params):
-        g = first_param_gradient_samples(circuit, samples, seed + idx,
-                                         param_idx=idx)
-        variances.append(np.var(g, ddof=1))
-    return float(np.mean(variances))
+    g = first_param_gradient_samples(circuit, samples, seed)
+    return float(np.var(g, ddof=1))
 
 
 def variance_stderr(grads: np.ndarray) -> float:

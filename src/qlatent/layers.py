@@ -5,7 +5,8 @@ Modules hold their parameters as ``Tensor`` objects with
 so a model's full parameter list comes out in a deterministic
 construction order.  The quantum layer evaluates expectation values
 with the statevector simulator and backpropagates through every circuit
-angle with the exact parameter-shift rule.
+angle with one adjoint reverse sweep per batch; the parameter-shift rule
+stays in ``diagnostics`` as its oracle and as the GV diagnostic's method.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .ansatz import (
 )
 from .noise import ConfusionMatrix, NoiseModel, mitigate_confusion, sample_noisy
 from .statevector import (
-    bind_params,
+    adjoint_z_gradients,
     pauli_z_expectations_batch,
     run_circuit_batch,
 )
@@ -215,9 +216,10 @@ class QuantumLayer(Module):
     Input features are mapped to encoder rotation angles, the encoder
     and the chosen ansatz run on the simulator, and the per-qubit <Z>
     values are mapped back out.  During training the expectations are
-    exact and every circuit angle (encoder and ansatz) receives a
-    parameter-shift gradient.  The output map starts at zero so a fresh
-    layer is an identity perturbation when used additively.
+    exact and every circuit angle (encoder and ansatz) receives an exact
+    adjoint gradient, which equals the parameter-shift one.  The output
+    map starts at zero so a fresh layer is an identity perturbation when
+    used additively.
     """
 
     def __init__(self, in_features: int, out_features: int,
@@ -248,18 +250,7 @@ class QuantumLayer(Module):
         z = pauli_z_expectations_batch(amps, n)
 
         def backward():
-            n_slots = full.shape[1]
-            # one simulator call evaluates all +-pi/2 shifts of all slots
-            stacked = np.repeat(full[None, :, :], 2 * n_slots, axis=0)
-            for s in range(n_slots):
-                stacked[2 * s, :, s] += np.pi / 2
-                stacked[2 * s + 1, :, s] -= np.pi / 2
-            flat = stacked.reshape(2 * n_slots * batch, n_slots)
-            shifted = pauli_z_expectations_batch(
-                run_circuit_batch(template, flat), n)
-            shifted = shifted.reshape(n_slots, 2, batch, n)
-            jac = (shifted[:, 0] - shifted[:, 1]) / 2.0  # (slots, batch, n)
-            dfull = np.einsum("sbq,bq->bs", jac, out.grad)
+            dfull = adjoint_z_gradients(template, full, amps, out.grad)
             if angles.requires_grad:
                 angles._accumulate(dfull[:, :n])
             if theta.requires_grad:

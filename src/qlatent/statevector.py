@@ -154,11 +154,13 @@ def _rz(theta: np.ndarray) -> np.ndarray:
 
 
 def _u3(theta, phi, lam) -> np.ndarray:
+    """U3 matrices; a length-1 angle array broadcasts against length k."""
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.zeros((theta.size, 2, 2), dtype=np.complex128)
+    m = np.zeros((max(theta.size, phi.size, lam.size), 2, 2),
+                 dtype=np.complex128)
     m[:, 0, 0] = c
     m[:, 0, 1] = -np.exp(1j * lam) * s
     m[:, 1, 0] = np.exp(1j * phi) * s
@@ -239,6 +241,33 @@ def _bind_angles(circuit: Circuit, params: np.ndarray) -> dict[tuple[int, int], 
     return bound
 
 
+def _op_angles(op: GateOp, op_idx: int, bound) -> list[np.ndarray]:
+    """Angle columns of one op: bound trainable columns, else fixed (1,)."""
+    return [bound.get((op_idx, a), np.full(1, fixed))
+            for a, fixed in enumerate(op.params)]
+
+
+def _gate_matrices(kind: str, angles) -> np.ndarray:
+    """(k|1, 2, 2) matrices of a one-qubit gate for per-batch angle columns."""
+    if kind == "RY":
+        return _ry(angles[0])
+    if kind == "RZ":
+        return _rz(angles[0])
+    return _u3(*angles)
+
+
+def _check_params(circuit: Circuit, params) -> np.ndarray:
+    params = np.asarray(params, dtype=np.float64)
+    if params.ndim != 2 or params.shape[1] != circuit.n_params:
+        raise SimulationError(
+            f"params shape {params.shape} does not match "
+            f"{circuit.n_params} trainable slots")
+    if not 1 <= circuit.n_qubits <= MAX_QUBITS:
+        raise SimulationError(
+            f"circuit qubit count {circuit.n_qubits} out of range")
+    return params
+
+
 def run_circuit_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
     """Run the circuit on |0...0> for each row of ``params``.
 
@@ -246,36 +275,94 @@ def run_circuit_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
     (k, 2**n_qubits).  All rows share the gate sequence; only trainable
     angles differ, which keeps the whole batch inside vectorized numpy ops.
     """
-    params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 2 or params.shape[1] != circuit.n_params:
-        raise SimulationError(
-            f"params shape {params.shape} does not match "
-            f"{circuit.n_params} trainable slots")
-    k = params.shape[0]
+    params = _check_params(circuit, params)
     n = circuit.n_qubits
-    if not 1 <= n <= MAX_QUBITS:
-        raise SimulationError(f"circuit qubit count {n} out of range")
-    batch = np.zeros((k, 2 ** n), dtype=np.complex128)
+    batch = np.zeros((params.shape[0], 2 ** n), dtype=np.complex128)
     batch[:, 0] = 1.0
     bound = _bind_angles(circuit, params)
     for i, op in enumerate(circuit.ops):
         if op.kind in TWO_QUBIT_GATES:
             batch = _apply_2q(batch, n, op.targets, _TWO_QUBIT_MATRICES[op.kind])
-            continue
-        angles = []
-        for a, fixed in enumerate(op.params):
-            col = bound.get((i, a))
-            angles.append(col if col is not None else np.full(1, fixed))
-        if op.kind == "RY":
-            mats = _ry(angles[0])
-        elif op.kind == "RZ":
-            mats = _rz(angles[0])
-        else:  # U3: broadcast fixed/trainable angle columns to a common batch
-            width = max(a.size for a in angles)
-            angles = [np.broadcast_to(a, (width,)) for a in angles]
-            mats = _u3(*angles)
-        batch = _apply_1q(batch, n, op.targets[0], mats)
+        else:
+            mats = _gate_matrices(op.kind, _op_angles(op, i, bound))
+            batch = _apply_1q(batch, n, op.targets[0], mats)
     return batch
+
+
+def _z_signs(n_qubits: int) -> np.ndarray:
+    """(2**n, n) eigenvalues of each Z_q on the basis states: +1 or -1."""
+    idx = np.arange(2 ** n_qubits)[:, None]
+    return 1.0 - 2.0 * ((idx >> np.arange(n_qubits)) & 1)
+
+
+def _pair_overlaps(bra: np.ndarray, ket: np.ndarray,
+                   qubit: int) -> np.ndarray:
+    """M[b, x, y] = sum over the other qubits of conj(bra[b, x]) ket[b, y].
+
+    With it, <bra|D|ket> for any 2x2 D on ``qubit`` is sum(D * M).
+    """
+    k = bra.shape[0]
+    inner = 1 << qubit
+    outer = bra.shape[1] // (2 * inner)
+    return np.einsum("koxi,koyi->kxy", bra.conj().reshape(k, outer, 2, inner),
+                     ket.reshape(k, outer, 2, inner))
+
+
+def adjoint_z_gradients(circuit: Circuit, params: np.ndarray,
+                        amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Gradient of sum_q weights[b, q] <Z_q> for every row and every slot.
+
+    ``amps`` must be ``run_circuit_batch(circuit, params)``; ``weights``
+    has shape (k, n_qubits).  Returns (k, n_params).  This is the adjoint
+    method (Jones & Gacon 2020, arXiv:2009.02823).  Each row's observable
+    H_b = sum_q weights[b, q] Z_q is diagonal.  Starting from phi = psi
+    and lambda = H_b psi, one reverse sweep over the gates sets
+    phi <- U^dag phi, reads 2 Re <lambda|dU|phi> for each slot on U, and
+    sets lambda <- U^dag lambda.  Fixed angles produce no gradient.
+    """
+    params = _check_params(circuit, params)
+    n = circuit.n_qubits
+    k = params.shape[0]
+    weights = np.asarray(weights, dtype=np.float64)
+    if amps.shape != (k, 2 ** n) or weights.shape != (k, n):
+        raise SimulationError(
+            f"amps {amps.shape} / weights {weights.shape} do not match "
+            f"{k} rows on {n} qubits")
+    bound = _bind_angles(circuit, params)
+    slots_of = {}
+    for s, (op_idx, angle_idx) in enumerate(circuit.param_slots):
+        slots_of.setdefault(op_idx, []).append((angle_idx, s))
+    grads = np.zeros((k, circuit.n_params))
+    # rows [:k] hold lambda and rows [k:] hold phi, so one apply moves both
+    state = np.concatenate([(weights @ _z_signs(n).T) * amps, amps])
+    for i in range(len(circuit.ops) - 1, -1, -1):
+        op = circuit.ops[i]
+        if op.kind in TWO_QUBIT_GATES:  # CNOT, CZ and SWAP are self-inverse
+            state = _apply_2q(state, n, op.targets, _TWO_QUBIT_MATRICES[op.kind])
+            continue
+        q = op.targets[0]
+        angles = _op_angles(op, i, bound)
+        mats = _gate_matrices(op.kind, angles)
+        adj = mats.conj().transpose(0, 2, 1)
+        state = _apply_1q(state, n, q,
+                          np.concatenate([adj, adj]) if len(adj) > 1 else adj)
+        if i not in slots_of:
+            continue
+        # After the step <lambda|dU|phi> = <lambda'|U^dag dU|phi'>.
+        overlaps = _pair_overlaps(state[:k], state[k:], q)
+        for a, s in slots_of[i]:
+            if a == 0:  # RY, RZ, U3 theta: the gate at angle + pi, halved
+                d = _gate_matrices(
+                    op.kind, [angles[0] + np.pi] + angles[1:]) / 2.0
+            else:  # U3 phi: row 1 times i; U3 lambda: column 1 times i
+                d = np.zeros_like(mats)
+                if a == 1:
+                    d[:, 1, :] = 1j * mats[:, 1, :]
+                else:
+                    d[:, :, 1] = 1j * mats[:, :, 1]
+            grads[:, s] = 2.0 * np.real(
+                np.sum((adj @ d) * overlaps, axis=(1, 2)))
+    return grads
 
 
 def run_circuit(circuit: Circuit, params=()) -> StateVector:
@@ -316,13 +403,8 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
         out = _apply_2q(batch, state.n_qubits, op.targets,
                         _TWO_QUBIT_MATRICES[op.kind])
     else:
-        if op.kind == "RY":
-            mats = _ry(op.params[0])
-        elif op.kind == "RZ":
-            mats = _rz(op.params[0])
-        else:
-            mats = _u3(*op.params)
-        out = _apply_1q(batch, state.n_qubits, op.targets[0], mats)
+        out = _apply_1q(batch, state.n_qubits, op.targets[0],
+                        _gate_matrices(op.kind, op.params))
     return StateVector(state.n_qubits, out[0])
 
 

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import check_grads, numeric_grad
-from qlatent.ansatz import AnsatzKind, AnsatzSpec
+from qlatent.ansatz import (
+    AnsatzKind,
+    AnsatzSpec,
+    build_angle_encoder,
+    build_ansatz,
+    param_count,
+)
+from qlatent.diagnostics import parameter_shift_gradient
 from qlatent.layers import (
     CDCNNLayer,
     Conv2d,
@@ -17,6 +24,14 @@ from qlatent.layers import (
     trunc_normal,
 )
 from qlatent.noise import NoiseModel
+from qlatent.statevector import (
+    Circuit,
+    GateOp,
+    adjoint_z_gradients,
+    bind_params,
+    run_circuit,
+    run_circuit_batch,
+)
 from qlatent.tensor import Tensor
 
 
@@ -225,3 +240,64 @@ def test_cdcnn_forward_and_grads():
     check_grads(lambda: (layer(x) ** 2).sum(),
                 [x, layer.fc1.weight, layer.fc2.weight],
                 rtol=1e-4, atol=1e-7)
+
+
+def _weighted_shift_gradients(circuit, params, weights):
+    """(rows, slots) gradients of sum_q weights[b, q] <Z_q> by parameter shift."""
+    return np.array([
+        [sum(weights[b, q] * parameter_shift_gradient(
+            circuit, params[b], s, cost_qubit=q)
+            for q in range(circuit.n_qubits))
+         for s in range(circuit.n_params)]
+        for b in range(params.shape[0])])
+
+
+@pytest.mark.parametrize("kind, n_qubits", [
+    (AnsatzKind.S2D, 2), (AnsatzKind.BE, 3), (AnsatzKind.SE, 4),
+    (AnsatzKind.ESE1, 5), (AnsatzKind.ESE2, 3)])
+def test_quantum_layer_adjoint_matches_parameter_shift(kind, n_qubits):
+    rng = np.random.default_rng(18)
+    layer = QuantumLayer(3, 3, AnsatzSpec(kind, n_qubits, 2), rng)
+    rows = 3
+    angles = Tensor(rng.uniform(-np.pi, np.pi, size=(rows, n_qubits)),
+                    requires_grad=True)
+    weights = rng.standard_normal((rows, n_qubits))  # one weighting per row
+    (layer.circuit_expectations(angles) * Tensor(weights)).sum().backward()
+    full = np.concatenate(
+        [angles.data, np.broadcast_to(layer.theta.data,
+                                      (rows, layer.theta.size))], axis=1)
+    ref = _weighted_shift_gradients(layer._template, full, weights)
+    # every slot, row by row: encoder RY angles and all ansatz angles
+    np.testing.assert_allclose(
+        adjoint_z_gradients(layer._template, full,
+                            run_circuit_batch(layer._template, full), weights),
+        ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(angles.grad, ref[:, :n_qubits],
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(layer.theta.grad, ref[:, n_qubits:].sum(axis=0),
+                               rtol=0, atol=1e-10)
+
+
+def test_adjoint_matches_parameter_shift_around_fixed_gates():
+    rng = np.random.default_rng(19)
+    spec = AnsatzSpec(AnsatzKind.SE, 3, 2)
+    # U3 gates with only some angles trainable: the others stay fixed
+    partial = Circuit(3, [GateOp("U3", (1,), (0.4, 0.0, -0.9)),
+                          GateOp("U3", (2,), (0.0, 0.7, 0.0))],
+                      [(0, 1), (1, 0), (1, 2)])
+    # fixed RY gates before the slots and after them, where the reverse
+    # sweep must undo them before it reads any slot
+    circuit = build_angle_encoder(rng.uniform(-np.pi, np.pi, 3), 3).extended(
+        build_ansatz(spec, np.zeros(param_count(spec)))).extended(
+        partial).extended(build_angle_encoder(rng.uniform(-np.pi, np.pi, 3), 3))
+    params = rng.uniform(0.0, 2 * np.pi, size=(4, circuit.n_params))
+    weights = rng.standard_normal((4, 3))
+    amps = run_circuit_batch(circuit, params)
+    for b in range(params.shape[0]):  # partly bound U3 angle columns
+        np.testing.assert_allclose(
+            amps[b], run_circuit(bind_params(circuit, params[b])).amplitudes,
+            rtol=0, atol=1e-12)
+    got = adjoint_z_gradients(circuit, params, amps, weights)
+    np.testing.assert_allclose(
+        got, _weighted_shift_gradients(circuit, params, weights),
+        rtol=0, atol=1e-10)
