@@ -636,6 +636,9 @@ def check_sample(cfg: dict, out: Path) -> dict:
         raise ValueError("n_per_class: must be >= 1")
     if cfg["steps"] < 2:
         raise ValueError("steps: must be >= 2")
+    for name in ("p1", "p2"):
+        if not 0 <= cfg[name] < 0.5:
+            raise ValueError(f"{name}: must be in [0, 0.5)")
     if cfg["shots"] < cfg["trajectories"]:
         raise ValueError("shots: must be >= trajectories")
     schedule = build_schedule(echo["timesteps"], echo["beta_start"],
@@ -653,7 +656,7 @@ def run_sample(cfg: dict, out: Path, ctx: dict) -> None:
     n = labels.size
     manifest_rows = []
     for a_idx, alpha in enumerate(ctx["alphas"]):
-        if alpha > 0:
+        if alpha > 0 or cfg["p1"] > 0 or cfg["p2"] > 0:
             noise = NoiseModel(readout_alpha=alpha, p1=cfg["p1"],
                                p2=cfg["p2"],
                                trajectories=cfg["trajectories"])

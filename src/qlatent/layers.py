@@ -20,7 +20,13 @@ from .ansatz import (
     build_trainable_encoder,
     param_count,
 )
-from .noise import ConfusionMatrix, NoiseModel, mitigate_confusion, sample_noisy
+from .noise import (
+    ConfusionMatrix,
+    NoiseModel,
+    index_marginals,
+    mitigate_probabilities,
+    sample_noisy_counts,
+)
 from .statevector import (
     adjoint_z_gradients,
     pauli_z_expectations_batch,
@@ -268,29 +274,26 @@ class QuantumLayer(Module):
                         seed: int, mitigate: bool = False) -> Tensor:
         """Shot-based evaluation pass under a device noise model.
 
-        Expectations come from sampled bitstrings (optionally with
-        confusion-matrix mitigation when readout noise is present).
-        Inference only: the result carries no gradient graph.
+        All rows and their noise trajectories run as one batch from one
+        ``default_rng(seed)``, so a one-row call draws exactly what
+        ``sample_noisy`` draws for that seed.  Expectations come from the
+        integer shot counts (optionally with confusion-matrix mitigation
+        when readout noise is present).  Inference only: the result
+        carries no gradient graph.
         """
         angles = self.pre_map(x).data
         theta = self.theta.data
-        outs = np.zeros((angles.shape[0], self.n_qubits))
-        cm = (ConfusionMatrix.symmetric(self.n_qubits, noise.readout_alpha)
-              if mitigate and noise.readout_alpha > 0 else None)
-        for b in range(angles.shape[0]):
-            params = np.concatenate([angles[b], theta])
-            dist = sample_noisy(self._template, params, noise,
-                                shots=shots, seed=seed + b)
-            if cm is not None:
-                probs = mitigate_confusion(dist, cm)
-            else:
-                probs = dist.probabilities()
-            ones = np.zeros(self.n_qubits)
-            for key, p in probs.items():
-                for q, bit in enumerate(key):
-                    if bit == "1":
-                        ones[q] += p
-            outs[b] = 1.0 - 2.0 * ones
+        full = np.concatenate(
+            [angles, np.broadcast_to(theta, (angles.shape[0], theta.size))],
+            axis=1)
+        counts = sample_noisy_counts(self._template, full, noise, shots,
+                                     np.random.default_rng(seed))
+        probs = counts / shots
+        if mitigate and noise.readout_alpha > 0:
+            probs = mitigate_probabilities(
+                probs, counts > 0,
+                ConfusionMatrix.symmetric(self.n_qubits, noise.readout_alpha))
+        outs = 1.0 - 2.0 * index_marginals(probs, self.n_qubits)
         return self.post_map(Tensor(outs)).detach()
 
 

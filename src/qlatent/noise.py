@@ -4,6 +4,12 @@ Gate noise is modeled by Pauli-trajectory sampling: after each gate a
 uniformly random non-identity Pauli is inserted on the gate's qubits with
 probability p1 (one-qubit gates) or p2 (two-qubit gates).  Readout noise
 flips each measured bit independently with probability alpha.
+
+All rows and trajectories of one call run as a single batch through
+``run_circuit_batch``, with the insertions drawn up front.  Counts stay
+integer arrays over basis indices from the shot draw through readout
+flips, marginals and mitigation; bitstring keys are built only for
+``EmpiricalDistribution`` reports.
 """
 
 from __future__ import annotations
@@ -16,14 +22,11 @@ from .statevector import (
     Circuit,
     StateVector,
     TWO_QUBIT_GATES,
-    apply_gate,
-    apply_pauli,
-    bind_params,
+    bitstring_to_index,
+    index_to_bitstring,
+    run_circuit_batch,
     sample_bitstrings,
 )
-
-_PAULI_1Q = ("X", "Y", "Z")
-_PAULI_2Q = tuple((a, b) for a in "IXYZ" for b in "IXYZ" if (a, b) != ("I", "I"))
 
 
 @dataclass
@@ -109,67 +112,107 @@ class ConfusionMatrix:
         return cls([m.copy() for _ in range(n_qubits)])
 
 
-def _maybe_insert_pauli(state: StateVector, qubits, prob: float,
-                        rng: np.random.Generator) -> StateVector:
-    if prob <= 0.0 or rng.random() >= prob:
-        return state
-    if len(qubits) == 1:
-        pauli = _PAULI_1Q[rng.integers(3)]
-        return apply_pauli(state, pauli, qubits[0])
-    pair = _PAULI_2Q[rng.integers(len(_PAULI_2Q))]
-    for p, q in zip(pair, qubits):
-        if p != "I":
-            state = apply_pauli(state, p, q)
-    return state
+def _draw_paulis(circuit: Circuit, noise: NoiseModel, rows: int,
+                 rng: np.random.Generator) -> dict:
+    """Pauli codes for every op and row, as ``run_circuit_batch`` takes them.
+
+    Each op draws an insertion per row with probability p1 or p2; a hit
+    on a one-qubit gate picks X, Y or Z, and a hit on a two-qubit gate
+    picks one of the 15 non-identity pairs (code c puts c >> 2 on
+    targets[0] and c & 3 on targets[1]).  Ops that no row hit are absent.
+    """
+    two = np.array([op.kind in TWO_QUBIT_GATES for op in circuit.ops],
+                   dtype=bool)
+    prob = np.where(two, noise.p2, noise.p1)
+    hit = rng.random((len(circuit.ops), rows)) < prob[:, None]
+    codes = np.zeros(hit.shape, dtype=np.intp)
+    codes[hit] = rng.integers(
+        1, np.broadcast_to(np.where(two, 16, 4)[:, None], hit.shape)[hit])
+    paulis = {}
+    for i in np.flatnonzero(hit.any(axis=1)):
+        targets = circuit.ops[i].targets
+        if two[i]:
+            pairs = ((targets[0], codes[i] >> 2), (targets[1], codes[i] & 3))
+            paulis[int(i)] = [(q, c) for q, c in pairs if c.any()]
+        else:
+            paulis[int(i)] = [(targets[0], codes[i])]
+    return paulis
 
 
-def _flip_bits(samples: list[str], alpha: float,
-               rng: np.random.Generator) -> list[str]:
-    if alpha <= 0.0 or not samples:
-        return samples
-    bits = np.array([[int(b) for b in s] for s in samples], dtype=np.uint8)
-    flips = rng.random(bits.shape) < alpha
-    bits ^= flips.astype(np.uint8)
-    return ["".join(row) for row in bits.astype("U1")]
+def _flip_readout(counts: np.ndarray, alpha: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Flip each counted bit with probability alpha, qubit by qubit.
+
+    For qubit q, ``binomial(counts, alpha)`` shots at index i move to
+    ``i ^ (1 << q)``: the same law as flipping every shot independently,
+    without building per-shot arrays.
+    """
+    k, dim = counts.shape
+    for q in range(dim.bit_length() - 1):
+        flips = rng.binomial(counts, alpha)
+        moved = flips.reshape(k, -1, 2, 1 << q)[:, :, ::-1, :]
+        counts = counts - flips + moved.reshape(k, dim)
+    return counts
 
 
-def sample_noisy(circuit: Circuit, params, noise: NoiseModel, shots: int,
-                 seed: int) -> EmpiricalDistribution:
-    """Shot counts under gate + readout noise, averaged over trajectories.
+def sample_noisy_counts(circuit: Circuit, params, noise: NoiseModel,
+                        shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Integer shot counts over basis indices, one row per params row.
 
-    Shots are split as evenly as possible across ``noise.trajectories``
-    independent Pauli trajectories; the leftover shots go to the first
-    trajectories.  Deterministic for a given seed.
+    ``params`` has shape (k, n_params); returns (k, 2**n) counts, each row
+    summing to ``shots``.  Every row's shots are split as evenly as
+    possible across ``noise.trajectories`` independent Pauli trajectories,
+    the leftover shots going to the first trajectories, and all k x T
+    trajectories run as one batch.  Without gate noise every trajectory
+    is the same state, so each row is simulated once and sampled with all
+    its shots, which has the same law.  Readout flips come last.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots < noise.trajectories:
         raise ValueError(
             f"shots ({shots}) must be >= trajectories ({noise.trajectories})")
-    bound = bind_params(circuit, params)
-    rng = np.random.default_rng(seed)
-    base, extra = divmod(shots, noise.trajectories)
-    samples: list[str] = []
-    for t in range(noise.trajectories):
-        n_shots = base + (1 if t < extra else 0)
-        if n_shots == 0:
-            continue
-        state = _run_with_pauli_noise(bound, noise, rng)
-        traj = sample_bitstrings(state, n_shots, int(rng.integers(2 ** 31)))
-        samples.extend(_flip_bits(traj, noise.readout_alpha, rng))
-    return EmpiricalDistribution.from_samples(samples, circuit.n_qubits)
+    params = np.asarray(params, dtype=np.float64)
+    k = params.shape[0]
+    if noise.p1 == 0.0 and noise.p2 == 0.0:
+        amps = run_circuit_batch(circuit, params)
+        n_shots = shots
+    else:
+        t = noise.trajectories
+        rows = np.repeat(params, t, axis=0)
+        amps = run_circuit_batch(circuit, rows,
+                                 _draw_paulis(circuit, noise, k * t, rng))
+        base, extra = divmod(shots, t)
+        n_shots = np.tile(base + (np.arange(t) < extra), k)
+    probs = np.abs(amps) ** 2
+    probs /= probs.sum(axis=1, keepdims=True)
+    counts = rng.multinomial(n_shots, probs)
+    counts = counts.reshape(k, -1, probs.shape[1]).sum(axis=1)
+    if noise.readout_alpha > 0.0:
+        counts = _flip_readout(counts, noise.readout_alpha, rng)
+    return counts
 
 
-def _run_with_pauli_noise(bound: Circuit, noise: NoiseModel,
-                          rng: np.random.Generator) -> StateVector:
-    from .statevector import init_zero_state
+def sample_noisy(circuit: Circuit, params, noise: NoiseModel, shots: int,
+                 seed: int) -> EmpiricalDistribution:
+    """Shot counts under gate + readout noise, averaged over trajectories.
 
-    state = init_zero_state(bound.n_qubits)
-    for op in bound.ops:
-        state = apply_gate(state, op)
-        prob = noise.p2 if op.kind in TWO_QUBIT_GATES else noise.p1
-        state = _maybe_insert_pauli(state, op.targets, prob, rng)
-    return state
+    One row of ``sample_noisy_counts`` from ``default_rng(seed)``, keyed
+    by bitstring.  Deterministic for a given seed.
+    """
+    params = np.asarray(params, dtype=np.float64).reshape(1, -1)
+    counts = sample_noisy_counts(circuit, params, noise, shots,
+                                 np.random.default_rng(seed))[0]
+    n = circuit.n_qubits
+    return EmpiricalDistribution(n, {
+        index_to_bitstring(int(i), n): int(counts[i])
+        for i in np.flatnonzero(counts)})
+
+
+def index_marginals(probs: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Per-qubit probability of measuring 1 for (k, 2**n) index weights."""
+    bits = (np.arange(probs.shape[1])[:, None] >> np.arange(n_qubits)) & 1
+    return probs @ bits
 
 
 def expected_hamming_distance(p: EmpiricalDistribution,
@@ -201,37 +244,48 @@ def sampling_control_distance(state: StateVector, shots: int,
     return expected_hamming_distance(a, b)
 
 
+def mitigate_probabilities(probs: np.ndarray, observed: np.ndarray,
+                           cm: ConfusionMatrix) -> np.ndarray:
+    """Invert per-qubit readout confusion on (k, 2**n) index probabilities.
+
+    Applies the tensor-product inverse of the per-qubit matrices, one
+    qubit at a time, and keeps only the ``observed`` entries (the
+    subspace-restriction idea of scalable mitigation): entry t is
+    ``sum_s prod_q Minv_q[s_q, t_q] probs[s]``, and unobserved s carry no
+    probability.  Negative quasi-probabilities are clipped to zero and
+    each row renormalized.
+    """
+    k, dim = probs.shape
+    x = probs
+    for q, m in enumerate(cm.per_qubit):
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if abs(det) < 1e-12:
+            raise ValueError(f"qubit {q}: confusion matrix is singular")
+        x = np.einsum("st,kosi->koti", np.linalg.inv(m),
+                      x.reshape(k, -1, 2, 1 << q)).reshape(k, dim)
+    x = np.where(observed, np.clip(x, 0.0, None), 0.0)
+    s = x.sum(axis=1, keepdims=True)
+    if np.any(s <= 0):
+        raise ValueError("mitigation clipped all probability mass")
+    return x / s
+
+
 def mitigate_confusion(dist: EmpiricalDistribution,
                        cm: ConfusionMatrix) -> dict[str, float]:
-    """Invert per-qubit readout confusion on the observed bitstrings.
+    """``mitigate_probabilities`` on one distribution, keyed by bitstring.
 
-    Applies the tensor-product inverse of the per-qubit matrices to the
-    empirical distribution, restricted to the observed strings (the
-    subspace-restriction idea of scalable mitigation).  Negative
-    quasi-probabilities are clipped to zero and the rest renormalized.
+    Returns a probability for every observed bitstring, in sorted order.
     """
     if len(cm.per_qubit) != dist.n_qubits:
         raise ValueError(
             f"confusion matrix covers {len(cm.per_qubit)} qubits, "
             f"distribution has {dist.n_qubits}")
-    invs = []
-    for q, m in enumerate(cm.per_qubit):
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) < 1e-12:
-            raise ValueError(f"qubit {q}: confusion matrix is singular")
-        invs.append(np.linalg.inv(m))
     observed = sorted(dist.counts)
-    bits = np.array([[int(b) for b in s] for s in observed], dtype=np.intp)
+    idx = np.array([bitstring_to_index(key) for key in observed])
+    probs = np.zeros((1, 1 << dist.n_qubits))
     total = dist.total
-    p_hat = np.array([dist.counts[s] / total for s in observed])
-    # x(t) = sum_s prod_q Minv_q[s_q, t_q] * p_hat(s), restricted to observed t
-    weight = np.ones((len(observed), len(observed)))
-    for q in range(dist.n_qubits):
-        weight *= invs[q][bits[None, :, q], bits[:, None, q]]
-    x = weight @ p_hat
-    x = np.clip(x, 0.0, None)
-    s = x.sum()
-    if s <= 0:
-        raise ValueError("mitigation clipped all probability mass")
-    x /= s
-    return {k: float(v) for k, v in zip(observed, x)}
+    probs[0, idx] = [dist.counts[key] / total for key in observed]
+    mask = np.zeros(probs.shape, dtype=bool)
+    mask[0, idx] = True
+    x = mitigate_probabilities(probs, mask, cm)[0]
+    return {key: float(x[i]) for key, i in zip(observed, idx)}

@@ -181,11 +181,13 @@ _SWAP = np.array([[1, 0, 0, 0],
                   [0, 0, 0, 1]], dtype=np.complex128)
 _TWO_QUBIT_MATRICES = {"CNOT": _CNOT, "CZ": _CZ, "SWAP": _SWAP}
 
-_PAULIS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
+# Pauli codes: 0 = I, 1 = X, 2 = Y, 3 = Z; _PAULI_STACK[codes] gives the
+# per-row (k, 2, 2) matrices for a code array.
+_PAULI_STACK = np.array([[[1, 0], [0, 1]],
+                         [[0, 1], [1, 0]],
+                         [[0, -1j], [1j, 0]],
+                         [[1, 0], [0, -1]]], dtype=np.complex128)
+_PAULIS = dict(zip("XYZ", _PAULI_STACK[1:]))
 
 
 def _apply_1q(batch: np.ndarray, n_qubits: int, qubit: int,
@@ -268,12 +270,18 @@ def _check_params(circuit: Circuit, params) -> np.ndarray:
     return params
 
 
-def run_circuit_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
+def run_circuit_batch(circuit: Circuit, params: np.ndarray,
+                      paulis: dict | None = None) -> np.ndarray:
     """Run the circuit on |0...0> for each row of ``params``.
 
     ``params`` has shape (k, n_params); returns amplitudes of shape
     (k, 2**n_qubits).  All rows share the gate sequence; only trainable
     angles differ, which keeps the whole batch inside vectorized numpy ops.
+
+    ``paulis`` optionally maps an op index to ``(qubit, codes)`` pairs:
+    right after that op, row b gets the Pauli ``codes[b]`` (0 = I,
+    1..3 = X/Y/Z) on ``qubit``.  This is how noise trajectories insert
+    their Pauli errors.
     """
     params = _check_params(circuit, params)
     n = circuit.n_qubits
@@ -286,6 +294,9 @@ def run_circuit_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
         else:
             mats = _gate_matrices(op.kind, _op_angles(op, i, bound))
             batch = _apply_1q(batch, n, op.targets[0], mats)
+        if paulis is not None:
+            for q, codes in paulis.get(i, ()):
+                batch = _apply_1q(batch, n, q, _PAULI_STACK[codes])
     return batch
 
 
@@ -409,7 +420,7 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
 
 
 def apply_pauli(state: StateVector, pauli: str, qubit: int) -> StateVector:
-    """Apply a single Pauli X/Y/Z; used by the stochastic noise channels."""
+    """Apply a single Pauli X/Y/Z; returns a new state."""
     if pauli not in _PAULIS:
         raise SimulationError(f"unknown Pauli {pauli!r}")
     if not 0 <= qubit < state.n_qubits:
@@ -452,13 +463,6 @@ def sample_bitstrings(state: StateVector, shots: int, seed: int) -> list[str]:
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
-    return sample_bitstrings_rng(state, shots, rng)
-
-
-def sample_bitstrings_rng(state: StateVector, shots: int,
-                          rng: np.random.Generator) -> list[str]:
-    if shots < 1:
-        raise SimulationError(f"shots must be >= 1, got {shots}")
     probs = state.probabilities
     probs = probs / probs.sum()
     idx = rng.choice(probs.size, size=shots, p=probs)

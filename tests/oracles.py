@@ -70,6 +70,13 @@ def dense_gate_unitary(kind, targets, params, n):
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
     (q,) = targets
+    return embed_one_qubit(m, q, n)
+
+
+def embed_one_qubit(m, q, n):
+    """Full 2^n x 2^n matrix of the 2x2 matrix ``m`` acting on qubit q."""
+    dim = 1 << n
+    u = np.zeros((dim, dim), dtype=np.complex128)
     for j in range(dim):
         bit = (j >> q) & 1
         base = j & ~(1 << q)
@@ -101,6 +108,52 @@ def dense_run(circuit, params=()):
     e0 = np.zeros(dim, dtype=np.complex128)
     e0[0] = 1.0
     return dense_circuit_unitary(circuit, params) @ e0
+
+
+def noisy_marginals_oracle(circuit, params, p1, p2, alpha):
+    """Per-qubit P(measure 1) under the channel-averaged noise, n <= 5.
+
+    Evolves the density matrix exactly: after each gate, a one-qubit gate
+    applies (1 - p1) rho + (p1 / 3) sum_P P rho P over X, Y, Z, and a
+    two-qubit gate applies (1 - p2) rho + (p2 / 15) sum over the 15
+    non-identity Pauli pairs.  The symmetric readout confusion with flip
+    probability alpha then acts on each qubit of the diagonal.
+    """
+    n = circuit.n_qubits
+    if n > 5:
+        raise ValueError("the density-matrix oracle is for n <= 5")
+    params = np.asarray(params, dtype=np.float64).ravel()
+    angles = {}
+    for slot, (op_idx, angle_idx) in enumerate(circuit.param_slots):
+        angles.setdefault(op_idx, {})[angle_idx] = params[slot]
+    dim = 1 << n
+    paulis = [np.eye(2, dtype=np.complex128), _SX, _SY, _SZ]
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    rho[0, 0] = 1.0
+    for op_idx, op in enumerate(circuit.ops):
+        gate_params = list(op.params)
+        for angle_idx, value in angles.get(op_idx, {}).items():
+            gate_params[angle_idx] = value
+        u = dense_gate_unitary(op.kind, op.targets, gate_params, n)
+        rho = u @ rho @ u.conj().T
+        if len(op.targets) == 1:
+            errors = [embed_one_qubit(paulis[a], op.targets[0], n)
+                      for a in (1, 2, 3)]
+            p = p1
+        else:
+            a_q, b_q = op.targets
+            errors = [embed_one_qubit(paulis[a], a_q, n)
+                      @ embed_one_qubit(paulis[b], b_q, n)
+                      for a in range(4) for b in range(4) if (a, b) != (0, 0)]
+            p = p2
+        mixed = sum(e @ rho @ e.conj().T for e in errors) / len(errors)
+        rho = (1.0 - p) * rho + p * mixed
+    diag = np.real(np.diag(rho)).copy()
+    for q in range(n):
+        flipped = np.array([diag[i ^ (1 << q)] for i in range(dim)])
+        diag = (1.0 - alpha) * diag + alpha * flipped
+    return np.array([sum(diag[i] for i in range(dim) if (i >> q) & 1)
+                     for q in range(n)])
 
 
 def layout_permutation_unitary(final_layout):

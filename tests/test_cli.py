@@ -5,15 +5,19 @@ tiny scale (32px images, 4-channel models, handfuls of steps); the
 tests then inspect its artifacts and probe the error paths.
 """
 
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from qlatent.checkpoint import load_checkpoint
+from qlatent.ansatz import AnsatzKind
+from qlatent.checkpoint import load_checkpoint, save_checkpoint, state_dict
 from qlatent.cli import main
 from qlatent.data import read_ppm
+from qlatent.diffusion import UNet, UNetConfig
+from qlatent.layers import QuantumLayer
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +164,41 @@ def test_quantum_train_logs_parameter_count(pipeline, tmp_path):
     log = (tmp_path / "train_vae_log.txt").read_text()
     assert "quantum circuit parameters per layer = 6" in log
     assert "3 * 1 layers * 2 qubits" in log
+
+
+def test_sample_gate_noise_applies_at_alpha_zero(pipeline, tmp_path):
+    # a quantum denoiser whose output maps are far from zero, so the
+    # quantum path visibly moves the images
+    echo = dict(load_checkpoint(pipeline / "ddpm.qldm").config,
+                quantum=True, q_qubits=2, q_layers=1)
+    names = {f.name for f in dataclasses.fields(UNetConfig)}
+    values = {k: v for k, v in echo.items() if k in names}
+    config = UNetConfig(**dict(values, q_kind=AnsatzKind(values["q_kind"])))
+    unet = UNet(config, seed=0)
+    rng = np.random.default_rng(0)
+    for module in unet.iter_modules():
+        if isinstance(module, QuantumLayer):
+            module.post_map.weight.data[:] = rng.normal(
+                size=module.post_map.weight.shape)
+    ddpm = tmp_path / "qddpm.qldm"
+    save_checkpoint(ddpm, "unet", echo, state_dict(unet))
+
+    def sample(out, *noise):
+        argv = ["sample", "--out", str(out),
+                "--set", f"vae_checkpoint={pipeline / 'vae.qldm'}",
+                "--set", f"ddpm_checkpoint={ddpm}",
+                "--set", "n_per_class=1", "--set", "steps=2",
+                "--set", "alphas=0", "--set", "shots=200",
+                "--set", "trajectories=10"]
+        for setting in noise:
+            argv += ["--set", setting]
+        assert main(argv) == 0
+        return [p.read_bytes()
+                for p in sorted((out / "samples" / "a0").iterdir())]
+
+    exact = sample(tmp_path / "exact")
+    assert sample(tmp_path / "exact_again") == exact
+    assert sample(tmp_path / "gate_noise", "p1=0.1", "p2=0.3") != exact
 
 
 def test_ansatz_bench_outputs(tmp_path):

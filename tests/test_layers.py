@@ -23,7 +23,7 @@ from qlatent.layers import (
     default_groups,
     trunc_normal,
 )
-from qlatent.noise import NoiseModel
+from qlatent.noise import NoiseModel, sample_noisy
 from qlatent.statevector import (
     Circuit,
     GateOp,
@@ -221,6 +221,28 @@ def test_quantum_layer_sampled_mitigation_beats_raw_readout():
     fixed = layer.forward_sampled(x, shots=100_000, noise=noisy, seed=1,
                                   mitigate=True).data
     assert np.abs(fixed - exact).max() < np.abs(raw - exact).max()
+
+
+def test_quantum_layer_sampled_batch_is_one_stream():
+    rng = np.random.default_rng(18)
+    layer = QuantumLayer(3, 3, AnsatzSpec(AnsatzKind.ESE2, 3, 1), rng)
+    layer.post_map.weight.data[:] = rng.normal(size=(3, 3))
+    x = Tensor(rng.normal(size=(4, 3)))
+    noise = NoiseModel(readout_alpha=0.05, p1=0.02, p2=0.05, trajectories=20)
+    a = layer.forward_sampled(x, 400, noise, seed=5, mitigate=True).data
+    b = layer.forward_sampled(x, 400, noise, seed=5, mitigate=True).data
+    c = layer.forward_sampled(x, 400, noise, seed=6, mitigate=True).data
+    assert a.tobytes() == b.tobytes()
+    assert not np.array_equal(a, c)
+
+    # with an identity output map a one-row call returns the sampled <Z>,
+    # which must come from the very counts sample_noisy draws for the seed
+    layer.post_map.weight = Tensor(np.eye(3))
+    one = Tensor(x.data[:1])
+    z = layer.forward_sampled(one, 400, noise, seed=5).data[0]
+    params = np.concatenate([layer.pre_map(one).data[0], layer.theta.data])
+    dist = sample_noisy(layer._template, params, noise, 400, seed=5)
+    np.testing.assert_allclose(z, 1.0 - 2.0 * dist.marginals(), atol=1e-12)
 
 
 def test_cdcnn_parameter_count():

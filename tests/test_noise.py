@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import noisy_marginals_oracle, random_circuit
 from qlatent.ansatz import AnsatzKind, AnsatzSpec, build_ansatz, param_count
 from qlatent.noise import (
     ConfusionMatrix,
@@ -9,12 +10,12 @@ from qlatent.noise import (
     expected_hamming_distance,
     mitigate_confusion,
     sample_noisy,
+    sample_noisy_counts,
     sampling_control_distance,
 )
 from qlatent.statevector import (
     Circuit,
     bitstring_to_index,
-    pauli_z_expectations,
     run_circuit,
 )
 
@@ -184,20 +185,31 @@ def test_mitigation_output_normalized_after_clipping():
     assert abs(vals.sum() - 1.0) < 1e-12
 
 
-def test_gate_noise_increases_hamming_distance():
+def test_gate_and_readout_noise_match_density_matrix_oracle():
+    # one shot per trajectory makes every shot an independent draw from
+    # the channel-averaged state, so each marginal is binomial
     rng = np.random.default_rng(13)
-    spec = AnsatzSpec(AnsatzKind.BE, 3, 1)
-    params = rng.uniform(0, 2 * np.pi, param_count(spec))
-    circuit = build_ansatz(spec, params)
-    ideal = (1 - pauli_z_expectations(run_circuit(circuit, params))) / 2
+    circuit = random_circuit(rng, 4, 24)
+    params = rng.uniform(0, 2 * np.pi, circuit.n_params)
+    p1, p2, alpha, shots = 0.05, 0.15, 0.05, 20_000
+    noise = NoiseModel(readout_alpha=alpha, p1=p1, p2=p2, trajectories=shots)
+    want = noisy_marginals_oracle(circuit, params, p1, p2, alpha)
+    sigma = np.sqrt(want * (1 - want) / shots)
+    got = sample_noisy(circuit, params, noise, shots, seed=3).marginals()
+    assert np.all(np.abs(got - want) <= 5 * sigma)
+    # the gate noise moves the marginals far beyond that tolerance, so a
+    # sampler that dropped it would fail the check above
+    readout_only = noisy_marginals_oracle(circuit, params, 0.0, 0.0, alpha)
+    assert np.max(np.abs(readout_only - want) / sigma) > 20
 
-    def distance(p2, seed):
-        noise = NoiseModel(readout_alpha=0.01, p1=0.0, p2=p2,
-                           trajectories=100)
-        dist = sample_noisy(circuit, params, noise, shots=20_000, seed=seed)
-        m = dist.marginals()
-        return float(np.sum(m * (1 - ideal) + ideal * (1 - m)))
 
-    lo = np.mean([distance(0.0, s) for s in range(3)])
-    hi = np.mean([distance(0.2, s) for s in range(3)])
-    assert hi > lo
+def test_trajectory_shot_split_sums_per_row():
+    rng = np.random.default_rng(17)
+    circuit = random_circuit(rng, 3, 12)
+    params = rng.uniform(0, 2 * np.pi, (5, circuit.n_params))
+    noise = NoiseModel(readout_alpha=0.1, p1=0.05, p2=0.1, trajectories=7)
+    counts = sample_noisy_counts(circuit, params, noise, 50,
+                                 np.random.default_rng(0))
+    assert counts.shape == (5, 8)
+    assert counts.dtype.kind == "i" and np.all(counts >= 0)
+    np.testing.assert_array_equal(counts.sum(axis=1), np.full(5, 50))

@@ -6,11 +6,13 @@ import pytest
 from oracles import (
     dense_circuit_unitary,
     dense_run,
+    embed_one_qubit,
     random_circuit,
     reduced_density_oracle,
 )
 from qlatent.statevector import (
     Circuit,
+    GateOp,
     SimulationError,
     StateVector,
     bind_params,
@@ -114,6 +116,33 @@ def test_batched_execution_matches_loop():
     for i in range(k):
         single = run_circuit(c, params[i]).amplitudes
         assert np.abs(batch[i] - single).max() < 1e-12
+
+
+def test_batched_pauli_insertions_match_dense_oracle():
+    # row b gets Pauli codes[b] after the chosen ops; the dense oracle
+    # multiplies the same Pauli matrices in between the gate unitaries
+    rng = np.random.default_rng(19)
+    c = random_circuit(rng, 3, 12)
+    k = 4
+    params = rng.uniform(0, 2 * np.pi, (k, len(c.param_slots)))
+    paulis = {2: [(0, rng.integers(0, 4, k))],
+              7: [(1, rng.integers(0, 4, k)), (2, rng.integers(0, 4, k))]}
+    batch = run_circuit_batch(c, params, paulis)
+    mats = [np.eye(2), np.array([[0, 1], [1, 0]]),
+            np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    for b in range(k):
+        want = dense_run(Circuit(3), ())
+        for i, op in enumerate(c.ops):
+            angles = list(op.params)
+            for s, (op_idx, a) in enumerate(c.param_slots):
+                if op_idx == i:
+                    angles[a] = params[b, s]
+            want = dense_circuit_unitary(
+                Circuit(3, [GateOp(op.kind, op.targets, tuple(angles))]),
+                ()) @ want
+            for q, codes in paulis.get(i, ()):
+                want = embed_one_qubit(mats[codes[b]], q, 3) @ want
+        assert np.abs(batch[b] - want).max() < 1e-12
 
 
 def test_bind_params_freezes_slots():
