@@ -23,7 +23,7 @@ from .layers import (
     ResBlock,
     Upsample,
 )
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, no_grad
 
 
 @dataclass(frozen=True)
@@ -248,6 +248,7 @@ def zero_prediction_baseline(latents, schedule: DiffusionSchedule,
     return total / draws
 
 
+@no_grad()
 def sample_latents(model: UNet, schedule: DiffusionSchedule, n: int,
                    labels: np.ndarray, rng: np.random.Generator,
                    steps: int = 100) -> np.ndarray:
@@ -286,6 +287,7 @@ def sample_latents(model: UNet, schedule: DiffusionSchedule, n: int,
     return x
 
 
+@no_grad()
 def generate_images(vae, unet: UNet, schedule: DiffusionSchedule, n: int,
                     labels: np.ndarray, rng: np.random.Generator,
                     scale: float, steps: int = 100,

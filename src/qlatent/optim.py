@@ -1,4 +1,4 @@
-"""Adam-family optimizers for the Tensor parameters."""
+"""Adam optimizer for the Tensor parameters."""
 
 from __future__ import annotations
 
@@ -67,13 +67,3 @@ class Adam:
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay on by default."""
-
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
-        super().__init__(params, lr=lr, betas=betas, eps=eps,
-                         weight_decay=weight_decay)

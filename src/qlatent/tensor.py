@@ -4,17 +4,34 @@ A ``Tensor`` wraps a float64 ndarray and records the operations applied
 to it; ``backward()`` on a scalar walks the recorded graph once in
 reverse topological order.  The op set is exactly what the models in
 this package need: broadcast arithmetic, matmul, reductions, a few
-pointwise nonlinearities, reshaping, im2col convolution, pooling,
-nearest-neighbour upsampling, and concatenation.
+pointwise nonlinearities, reshaping, convolution as a GEMM over
+strided-window columns, pooling, nearest-neighbour upsampling, and
+concatenation.
 
 Gradients only flow into tensors created with ``requires_grad=True``
 and into results derived from them; everything else is treated as a
-constant and excluded from the graph.
+constant and excluded from the graph.  Inside ``no_grad()`` no op
+records a graph at all, so inference keeps no saved activations.
 """
 
 from __future__ import annotations
 
+import contextvars
+from contextlib import contextmanager
+
 import numpy as np
+
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording the graph; results need no gradient."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -117,7 +134,7 @@ class Tensor:
     def _from_op(data: np.ndarray, parents: tuple["Tensor", ...],
                  backward_fn) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward_fn
@@ -328,19 +345,19 @@ class Tensor:
 # ---- structured ops ---------------------------------------------------
 
 
-def _im2col_indices(channels, height, width, kernel, stride, padding):
-    h_out = (height + 2 * padding - kernel) // stride + 1
-    w_out = (width + 2 * padding - kernel) // stride + 1
-    if h_out < 1 or w_out < 1:
-        raise ValueError("kernel does not fit the padded input")
-    i0 = np.tile(np.repeat(np.arange(kernel), kernel), channels)
-    j0 = np.tile(np.arange(kernel), kernel * channels)
-    i1 = stride * np.repeat(np.arange(h_out), w_out)
-    j1 = stride * np.tile(np.arange(w_out), h_out)
-    rows = i0[:, None] + i1[None, :]
-    cols = j0[:, None] + j1[None, :]
-    chan = np.repeat(np.arange(channels), kernel * kernel)[:, None]
-    return chan, rows, cols, h_out, w_out
+def _im2col(x_pad: np.ndarray, kernel: int, stride: int, h_out: int,
+            w_out: int) -> np.ndarray:
+    """Columns ``(n, c*k*k, h_out*w_out)`` in channel-major row order.
+
+    The windows are a strided view of the padded input, so the only
+    work is one copy that runs along contiguous ``w_out``.
+    """
+    n, c = x_pad.shape[:2]
+    sn, sc, sh, sw = x_pad.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x_pad, (n, c, kernel, kernel, h_out, w_out),
+        (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    return windows.reshape(n, c * kernel * kernel, h_out * w_out)
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1,
@@ -353,25 +370,30 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1,
     if c != c_w or k != k2:
         raise ValueError(
             f"weight {weight.shape} incompatible with input {x.shape}")
-    chan, rows, cols_idx, h_out, w_out = _im2col_indices(
-        c, h, w, k, stride, padding)
+    h_out = (h + 2 * padding - k) // stride + 1
+    w_out = (w + 2 * padding - k) // stride + 1
+    if h_out < 1 or w_out < 1:
+        raise ValueError("kernel does not fit the padded input")
     x_pad = np.pad(x.data,
                    ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = x_pad[:, chan, rows, cols_idx]  # (n, c*k*k, h_out*w_out)
     w_flat = weight.data.reshape(f, -1)
-    out_data = (w_flat @ cols).reshape(n, f, h_out, w_out)
+    out_data = (w_flat @ _im2col(x_pad, k, stride, h_out, w_out)).reshape(
+        n, f, h_out, w_out)
 
     def backward():
-        g = out.grad.reshape(n, f, -1)
+        # the closure holds x_pad, not the columns: they are rebuilt here,
+        # as a temporary, only when the weight needs its gradient
+        g = out.grad.reshape(n, f, h_out * w_out)
         if weight.requires_grad:
-            dw = np.einsum("nfl,ncl->fc", g, cols).reshape(weight.shape)
-            weight._accumulate(dw)
+            dw = g @ _im2col(x_pad, k, stride, h_out, w_out).transpose(0, 2, 1)
+            weight._accumulate(dw.sum(axis=0).reshape(weight.shape))
         if x.requires_grad:
-            dcols = np.einsum("fc,nfl->ncl", w_flat, g)
+            dcols = (w_flat.T @ g).reshape(n, c, k, k, h_out, w_out)
             dx_pad = np.zeros_like(x_pad)
-            np.add.at(dx_pad,
-                      (np.arange(n)[:, None, None], chan, rows, cols_idx),
-                      dcols)
+            for i in range(k):
+                for j in range(k):
+                    dx_pad[:, :, i:i + stride * h_out:stride,
+                           j:j + stride * w_out:stride] += dcols[:, :, i, j]
             if padding:
                 dx_pad = dx_pad[:, :, padding:-padding, padding:-padding]
             x._accumulate(dx_pad)

@@ -25,7 +25,7 @@ from .layers import (
     Upsample,
 )
 from .optim import Adam
-from .tensor import Tensor, conv2d
+from .tensor import Tensor, conv2d, no_grad
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class VAEConfig:
     base_channels: int = 32
     kl_weight: float = 1e-6
     ssim_weight: float = 1.0
-    learning_rate: float = 1e-3
     quantum: bool = False
     q_qubits: int = 4
     q_layers: int = 2
@@ -185,6 +184,7 @@ def vae_train_step(model: VAE, optimizer: Adam, batch: np.ndarray,
     return parts
 
 
+@no_grad()
 def encode_dataset(model: VAE, images: np.ndarray,
                    batch_size: int = 16) -> np.ndarray:
     """Posterior means for every image, as plain (N, C, h, w) numpy."""

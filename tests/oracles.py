@@ -226,6 +226,22 @@ def check_grads(fn, tensors, rtol=1e-5, atol=1e-7):
         np.testing.assert_allclose(t.grad, want, rtol=rtol, atol=atol)
 
 
+def record_graph_nodes(monkeypatch):
+    """List that gets ``requires_grad`` of every op result made from now."""
+    from qlatent.tensor import Tensor
+
+    recorded = []
+    from_op = Tensor.__dict__["_from_op"].__func__
+
+    def recording_from_op(data, parents, backward_fn):
+        out = from_op(data, parents, backward_fn)
+        recorded.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(recording_from_op))
+    return recorded
+
+
 def random_circuit(rng, n_qubits, n_gates, trainable_fraction=0.5):
     """Random circuit over the full gate set, some angles as slots."""
     from qlatent.statevector import Circuit

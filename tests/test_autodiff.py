@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import check_grads, numeric_grad
+from oracles import check_grads, numeric_grad, record_graph_nodes
 from qlatent.tensor import (
     Tensor,
     avg_pool2d,
     concat,
     conv2d,
+    no_grad,
     upsample_nearest,
 )
+from qlatent.vae import VAE, VAEConfig
 
 
 def test_add_mul_broadcast():
@@ -127,6 +129,59 @@ def test_conv2d_gradients():
                 [x, w], rtol=1e-4, atol=1e-6)
     check_grads(lambda: conv2d(x, w, stride=2, padding=1).abs().sum(),
                 [x, w], rtol=1e-4, atol=1e-6)
+
+
+@pytest.mark.parametrize("x_shape, w_shape, stride, padding, weight_grad", [
+    ((2, 3, 5, 5), (4, 3, 1, 1), 1, 0, True),
+    ((2, 1, 16, 16), (1, 1, 8, 8), 4, 0, False),
+    ((2, 2, 7, 7), (3, 2, 3, 3), 2, 1, True),
+    ((2, 2, 5, 8), (3, 2, 3, 3), 1, 1, True),
+    ((1, 2, 6, 9), (2, 2, 3, 3), 2, 1, True),
+], ids=["resblock-skip-k1", "ssim-window-fixed-weight", "stride2-odd-size",
+        "non-square", "non-square-stride2"])
+def test_conv2d_shapes_match_naive_and_central_differences(
+        x_shape, w_shape, stride, padding, weight_grad):
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=w_shape), requires_grad=weight_grad)
+    got = conv2d(x, w, stride=stride, padding=padding)
+    np.testing.assert_allclose(
+        got.data, _naive_conv(x.data, w.data, stride, padding), atol=1e-12)
+    upstream = Tensor(rng.normal(size=got.shape))
+    # the loss is linear in each input, so central differences are exact
+    # up to rounding
+    check_grads(
+        lambda: (conv2d(x, w, stride=stride, padding=padding)
+                 * upstream).sum(),
+        [x, w] if weight_grad else [x], rtol=1e-6, atol=1e-8)
+    if not weight_grad:
+        assert w.grad is None
+
+
+def test_no_grad_records_no_graph_and_restores(monkeypatch):
+    model = VAE(VAEConfig(image_size=16, base_channels=8, quantum=True,
+                          q_qubits=3, q_layers=1), seed=0)
+    x = Tensor(np.random.default_rng(9).uniform(0, 1, (2, 3, 16, 16)))
+    mu, _ = model.encode(x)
+    recon = model.decode(mu)
+    assert recon.requires_grad
+
+    recorded = record_graph_nodes(monkeypatch)
+    with no_grad():
+        mu_ng, _ = model.encode(x)
+        recon_ng = model.decode(mu_ng)
+    assert recorded and not any(recorded)
+    np.testing.assert_array_equal(mu_ng.data, mu.data)
+    np.testing.assert_array_equal(recon_ng.data, recon.data)
+
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (a * 2.0).requires_grad
+            raise RuntimeError("leave the context by an exception")
+    assert (a * 2.0).requires_grad
 
 
 def test_conv2d_shape_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import record_graph_nodes
 from qlatent.diffusion import (
     UNet,
     UNetConfig,
@@ -14,7 +15,7 @@ from qlatent.diffusion import (
     zero_prediction_baseline,
 )
 from qlatent.layers import QResBlock
-from qlatent.optim import AdamW
+from qlatent.optim import Adam
 from qlatent.tensor import Tensor
 
 
@@ -159,7 +160,7 @@ def test_latent_scale():
 def test_train_step_rejects_latents_with_graph():
     model, cfg = _tiny_unet()
     sched = build_schedule(timesteps=50)
-    opt = AdamW(model.parameters())
+    opt = Adam(model.parameters(), weight_decay=0.01)
     latents = Tensor(np.zeros((2, 2, 4, 4)), requires_grad=True)
     with pytest.raises(ValueError):
         ddpm_train_step(model, opt, latents, np.array([0, 1]), sched,
@@ -173,7 +174,7 @@ def test_train_step_rejects_latents_with_graph():
 def test_training_beats_zero_baseline():
     model, cfg = _tiny_unet()
     sched = build_schedule(timesteps=50)
-    opt = AdamW(model.parameters(), lr=3e-3)
+    opt = Adam(model.parameters(), lr=3e-3, weight_decay=0.01)
     rng = np.random.default_rng(6)
     latents = rng.normal(size=(8, 2, 4, 4))
     labels = np.arange(8) % 3
@@ -188,7 +189,7 @@ def test_training_beats_zero_baseline():
 def test_quantum_train_step_runs():
     model, cfg = _tiny_unet(quantum=True)
     sched = build_schedule(timesteps=20)
-    opt = AdamW(model.parameters())
+    opt = Adam(model.parameters(), weight_decay=0.01)
     rng = np.random.default_rng(7)
     latents = rng.normal(size=(2, 2, 4, 4))
     loss = ddpm_train_step(model, opt, latents, np.array([0, 2]), sched, rng)
@@ -238,3 +239,21 @@ def test_generate_images_roundtrip():
                            rng, scale=1.0, steps=5, batch_size=2)
     assert imgs.shape == (3, 3, 32, 32)
     assert imgs.min() >= 0 and imgs.max() <= 1
+
+
+def test_inference_entry_points_record_no_graph(monkeypatch):
+    from qlatent.vae import VAE, VAEConfig, encode_dataset
+
+    unet = UNet(UNetConfig(latent_channels=2, latent_size=4,
+                           base_channels=8, time_dim=16), seed=1)
+    vae32 = VAE(VAEConfig(image_size=32, base_channels=8,
+                          latent_channels=2), seed=0)
+    sched = build_schedule(timesteps=20)
+    recorded = record_graph_nodes(monkeypatch)
+    sample_latents(unet, sched, 1, np.array([0]), np.random.default_rng(11),
+                   steps=2)
+    generate_images(vae32, unet, sched, 1, np.array([1]),
+                    np.random.default_rng(12), scale=1.0, steps=2)
+    encode_dataset(vae32, np.random.default_rng(13).uniform(
+        0, 1, (2, 3, 32, 32)))
+    assert recorded and not any(recorded)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qlatent.optim import Adam, AdamW
+from qlatent.optim import Adam
 from qlatent.tensor import Tensor
 
 
@@ -35,7 +35,7 @@ def test_adamw_matches_reference_with_decay():
     rng = np.random.default_rng(1)
     p0 = rng.normal(size=(5,))
     param = Tensor(p0.copy(), requires_grad=True)
-    opt = AdamW([param], lr=0.005, weight_decay=0.01)
+    opt = Adam([param], lr=0.005, weight_decay=0.01)
     ref_p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
     for t in range(1, 8):
         g = rng.normal(size=(5,))
@@ -57,7 +57,7 @@ def test_first_step_magnitude_is_learning_rate():
 def test_decay_is_decoupled_from_moments():
     # with zero gradients only the decay acts, multiplicatively
     param = Tensor(np.array([2.0, -4.0]), requires_grad=True)
-    opt = AdamW([param], lr=0.1, weight_decay=0.5)
+    opt = Adam([param], lr=0.1, weight_decay=0.5)
     for _ in range(3):
         param.grad = np.zeros(2)
         opt.step()

@@ -148,7 +148,7 @@ def test_vae_loss_parts():
 def test_vae_training_reduces_loss():
     cfg = VAEConfig(image_size=16, base_channels=8)
     model = VAE(cfg, seed=0)
-    opt = Adam(model.parameters(), lr=cfg.learning_rate)
+    opt = Adam(model.parameters(), lr=1e-3)
     rng = np.random.default_rng(5)
     batch = rng.uniform(0.2, 0.8, (4, 3, 16, 16))
     losses = [vae_train_step(model, opt, batch, rng)["total"]
