@@ -25,7 +25,7 @@ from .statevector import (
     bitstring_to_index,
     index_to_bitstring,
     run_circuit_batch,
-    sample_bitstrings,
+    sample_indices,
 )
 
 
@@ -74,13 +74,17 @@ class EmpiricalDistribution:
         return cls(n_qubits, counts)
 
     def marginals(self) -> np.ndarray:
-        """Per-qubit empirical probability of measuring 1."""
-        ones = np.zeros(self.n_qubits)
-        for key, c in self.counts.items():
-            for q, b in enumerate(key):
-                if b == "1":
-                    ones[q] += c
-        return ones / self.total
+        """Per-qubit empirical probability of measuring 1.
+
+        Counts may be floats (a distribution built from probabilities);
+        the sum over keys runs in key order, as a loop over them would.
+        """
+        keys = "".join(self.counts).encode("ascii")
+        bits = np.frombuffer(keys, dtype=np.uint8).reshape(
+            -1, self.n_qubits) == ord("1")
+        counts = np.fromiter(self.counts.values(), dtype=np.float64,
+                             count=len(self.counts))
+        return np.where(bits, counts[:, None], 0.0).sum(axis=0) / self.total
 
     def probabilities(self) -> dict[str, float]:
         t = self.total
@@ -225,7 +229,10 @@ def expected_hamming_distance(p: EmpiricalDistribution,
     if p.n_qubits != q.n_qubits:
         raise ValueError(
             f"qubit-count mismatch: {p.n_qubits} vs {q.n_qubits}")
-    mp, mq = p.marginals(), q.marginals()
+    return _hamming_from_marginals(p.marginals(), q.marginals())
+
+
+def _hamming_from_marginals(mp: np.ndarray, mq: np.ndarray) -> float:
     return float(np.sum(mp * (1 - mq) + mq * (1 - mp)))
 
 
@@ -237,11 +244,10 @@ def sampling_control_distance(state: StateVector, shots: int,
     ``sum_q 2 m_q (1 - m_q)`` (zero only for basis states), so it serves
     as the sampling-noise floor a noisy run should be compared against.
     """
-    a = EmpiricalDistribution.from_samples(
-        sample_bitstrings(state, shots, seeds[0]), state.n_qubits)
-    b = EmpiricalDistribution.from_samples(
-        sample_bitstrings(state, shots, seeds[1]), state.n_qubits)
-    return expected_hamming_distance(a, b)
+    qubits = np.arange(state.n_qubits)
+    ma, mb = (((sample_indices(state, shots, seed)[:, None] >> qubits) & 1)
+              .sum(axis=0) / shots for seed in seeds)
+    return _hamming_from_marginals(ma, mb)
 
 
 def mitigate_probabilities(probs: np.ndarray, observed: np.ndarray,

@@ -4,6 +4,13 @@ Convention used throughout the package: qubit 0 is the least-significant
 bit of the basis-state index, so basis state ``i`` assigns bit
 ``(i >> q) & 1`` to qubit ``q``.  Bitstrings are written with qubit 0 as
 the first character ("10" means qubit0=1, qubit1=0).
+
+One kernel serves exact, Pauli-trajectory, adjoint and single-state runs
+on a rows-last (2**n, k) state, so each elementwise op runs contiguously
+over at least the k rows.  It updates the state in place: a one-qubit
+gate through one scratch array, CNOT and SWAP as quarter swaps, CZ as a
+sign flip.  A circuit of only RY, CNOT, CZ and SWAP, run without Pauli
+codes, stays in float64.  Callers see (k, 2**n) complex128 amplitudes.
 """
 
 from __future__ import annotations
@@ -133,114 +140,102 @@ def init_zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def _ry(theta: np.ndarray) -> np.ndarray:
-    """RY matrices, shape (k, 2, 2) for a length-k angle array."""
+def _ry(theta) -> np.ndarray:
+    """RY matrices, real, shape (2, 2, k) for a length-k angle array."""
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.zeros((theta.size, 2, 2), dtype=np.complex128)
-    m[:, 0, 0] = c
-    m[:, 0, 1] = -s
-    m[:, 1, 0] = s
-    m[:, 1, 1] = c
-    return m
+    return np.array([[c, -s], [s, c]])
 
 
-def _rz(theta: np.ndarray) -> np.ndarray:
+def _rz(theta) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    m = np.zeros((theta.size, 2, 2), dtype=np.complex128)
-    m[:, 0, 0] = np.exp(-0.5j * theta)
-    m[:, 1, 1] = np.exp(0.5j * theta)
-    return m
+    zero = np.zeros(theta.size)
+    return np.array([[np.exp(-0.5j * theta), zero],
+                     [zero, np.exp(0.5j * theta)]])
 
 
 def _u3(theta, phi, lam) -> np.ndarray:
     """U3 matrices; a length-1 angle array broadcasts against length k."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
-    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    theta, phi, lam = (np.atleast_1d(np.asarray(a, dtype=np.float64))
+                       for a in (theta, phi, lam))
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.zeros((max(theta.size, phi.size, lam.size), 2, 2),
+    m = np.empty((2, 2, max(theta.size, phi.size, lam.size)),
                  dtype=np.complex128)
-    m[:, 0, 0] = c
-    m[:, 0, 1] = -np.exp(1j * lam) * s
-    m[:, 1, 0] = np.exp(1j * phi) * s
-    m[:, 1, 1] = np.exp(1j * (phi + lam)) * c
+    m[0, 0] = c
+    m[0, 1] = -np.exp(1j * lam) * s
+    m[1, 0] = np.exp(1j * phi) * s
+    m[1, 1] = np.exp(1j * (phi + lam)) * c
     return m
 
 
-# Basis order for the 4x4 matrices is (targets[0], targets[1]) with
-# targets[0] as the most significant bit of the pair index.
-_CNOT = np.array([[1, 0, 0, 0],
-                  [0, 1, 0, 0],
-                  [0, 0, 0, 1],
-                  [0, 0, 1, 0]], dtype=np.complex128)
-_CZ = np.diag([1, 1, 1, -1]).astype(np.complex128)
-_SWAP = np.array([[1, 0, 0, 0],
-                  [0, 0, 1, 0],
-                  [0, 1, 0, 0],
-                  [0, 0, 0, 1]], dtype=np.complex128)
-_TWO_QUBIT_MATRICES = {"CNOT": _CNOT, "CZ": _CZ, "SWAP": _SWAP}
+# Kinds with real matrices: a circuit of only these, run without Pauli
+# codes, keeps its state in float64.
+_REAL_KINDS = frozenset(("RY", "CNOT", "CZ", "SWAP"))
 
-# Pauli codes: 0 = I, 1 = X, 2 = Y, 3 = Z; _PAULI_STACK[codes] gives the
-# per-row (k, 2, 2) matrices for a code array.
-_PAULI_STACK = np.array([[[1, 0], [0, 1]],
-                         [[0, 1], [1, 0]],
-                         [[0, -1j], [1j, 0]],
-                         [[1, 0], [0, -1]]], dtype=np.complex128)
-_PAULIS = dict(zip("XYZ", _PAULI_STACK[1:]))
+# Pauli codes: 0 = I, 1 = X, 2 = Y, 3 = Z; _PAULI_STACK[:, :, codes] gives
+# the per-row (2, 2, k) matrices for a code array.
+_PAULI_STACK = np.stack([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                         np.diag([1, -1])], axis=2).astype(np.complex128)
+_PAULIS = {p: _PAULI_STACK[:, :, [c]] for c, p in enumerate("XYZ", 1)}
 
 
-def _apply_1q(batch: np.ndarray, n_qubits: int, qubit: int,
-              mats: np.ndarray) -> np.ndarray:
-    """Apply per-batch 2x2 matrices to one qubit of a (k, 2**n) batch.
+def _apply_1q(psi: np.ndarray, tmp: np.ndarray, qubit: int,
+              mats: np.ndarray) -> None:
+    """Apply (2, 2, k|1) per-row matrices to one qubit of ``psi``, in place.
 
-    ``mats`` has shape (k, 2, 2) or (1, 2, 2) (broadcast over the batch).
+    ``psi`` is a rows-last (2**n, k) state and ``tmp`` scratch like it.
+    Half a becomes mats[a, 0] * x0 + mats[a, 1] * x1, products in that
+    operand order, so results match the dense formula bit for bit.
     """
-    k = batch.shape[0]
-    inner = 1 << qubit
-    outer = batch.shape[1] // (2 * inner)
-    x = batch.reshape(k, outer, 2, inner)
-    x0, x1 = x[:, :, 0, :], x[:, :, 1, :]
-    m = mats[:, :, :, None, None]  # (k|1, 2, 2, 1, 1)
-    out = np.empty_like(x)
-    out[:, :, 0, :] = m[:, 0, 0] * x0 + m[:, 0, 1] * x1
-    out[:, :, 1, :] = m[:, 1, 0] * x0 + m[:, 1, 1] * x1
-    return out.reshape(k, -1)
+    shape = (psi.shape[0] >> (qubit + 1), 2, 1 << qubit, psi.shape[1])
+    x, t = psi.reshape(shape), tmp.reshape(shape)
+    x0, x1, t0, t1 = x[:, 0], x[:, 1], t[:, 0], t[:, 1]
+    np.multiply(mats[0, 1], x1, out=t0)
+    np.multiply(mats[1, 0], x0, out=t1)
+    np.multiply(mats[0, 0], x0, out=x0)
+    np.multiply(mats[1, 1], x1, out=x1)
+    x0 += t0
+    x1 += t1
 
 
-def _apply_2q(batch: np.ndarray, n_qubits: int, targets: tuple[int, int],
-              mat: np.ndarray) -> np.ndarray:
-    """Apply a fixed 4x4 matrix to two qubits of a (k, 2**n) batch."""
-    k = batch.shape[0]
+def _apply_2q(psi: np.ndarray, tmp: np.ndarray, kind: str,
+              targets: tuple[int, int]) -> None:
+    """CNOT, CZ or SWAP on a rows-last state, in place, as a permutation.
+
+    CNOT (control targets[0]) swaps the quarters where the control is 1,
+    SWAP swaps the |01> and |10> quarters, and CZ negates |11>.
+    """
     hi, lo = max(targets), min(targets)
-    d_lo = 1 << lo
-    d_mid = 1 << (hi - lo - 1)
-    d_hi = batch.shape[1] // (4 * d_lo * d_mid)
-    x = batch.reshape(k, d_hi, 2, d_mid, 2, d_lo)  # axes 2, 4 = bits hi, lo
-    # pair index convention: (bit of targets[0]) << 1 | (bit of targets[1])
-    if targets[0] == hi:
-        sub = [x[:, :, (p >> 1) & 1, :, p & 1, :] for p in range(4)]
+    x = psi.reshape(psi.shape[0] >> (hi + 1), 2, 1 << (hi - lo - 1), 2,
+                    1 << lo, psi.shape[1])
+
+    def quarter(arr, bit0, bit1):  # bit0 on targets[0], bit1 on targets[1]
+        bits = {targets[0]: bit0, targets[1]: bit1}
+        return arr[:, bits[hi], :, bits[lo]]
+
+    if kind == "CZ":
+        q11 = quarter(x, 1, 1)
+        np.negative(q11, out=q11)
+        return
+    pair = ((1, 0), (1, 1)) if kind == "CNOT" else ((0, 1), (1, 0))
+    u, v = quarter(x, *pair[0]), quarter(x, *pair[1])
+    t = quarter(tmp.reshape(x.shape), *pair[0])
+    np.copyto(t, u)
+    np.copyto(u, v)
+    np.copyto(v, t)
+
+
+def _apply_op(psi: np.ndarray, tmp: np.ndarray, op: GateOp, angles) -> None:
+    """One gate on a rows-last state, at per-row or fixed ``angles``."""
+    if op.kind in TWO_QUBIT_GATES:
+        _apply_2q(psi, tmp, op.kind, op.targets)
     else:
-        sub = [x[:, :, p & 1, :, (p >> 1) & 1, :] for p in range(4)]
-    out = np.empty_like(x)
-    for a in range(4):
-        acc = mat[a, 0] * sub[0]
-        for b in range(1, 4):
-            if mat[a, b] != 0:
-                acc = acc + mat[a, b] * sub[b]
-        if targets[0] == hi:
-            out[:, :, (a >> 1) & 1, :, a & 1, :] = acc
-        else:
-            out[:, :, a & 1, :, (a >> 1) & 1, :] = acc
-    return out.reshape(k, -1)
+        _apply_1q(psi, tmp, op.targets[0], _gate_matrices(op.kind, angles))
 
 
 def _bind_angles(circuit: Circuit, params: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """Map (op_idx, angle_idx) -> per-batch angle column for trainable slots."""
-    bound = {}
-    for s, (op_idx, angle_idx) in enumerate(circuit.param_slots):
-        bound[(op_idx, angle_idx)] = params[:, s]
-    return bound
+    return {pos: params[:, s] for s, pos in enumerate(circuit.param_slots)}
 
 
 def _op_angles(op: GateOp, op_idx: int, bound) -> list[np.ndarray]:
@@ -250,7 +245,7 @@ def _op_angles(op: GateOp, op_idx: int, bound) -> list[np.ndarray]:
 
 
 def _gate_matrices(kind: str, angles) -> np.ndarray:
-    """(k|1, 2, 2) matrices of a one-qubit gate for per-batch angle columns."""
+    """(2, 2, k|1) matrices of a one-qubit gate for per-row angle columns."""
     if kind == "RY":
         return _ry(angles[0])
     if kind == "RZ":
@@ -264,9 +259,6 @@ def _check_params(circuit: Circuit, params) -> np.ndarray:
         raise SimulationError(
             f"params shape {params.shape} does not match "
             f"{circuit.n_params} trainable slots")
-    if not 1 <= circuit.n_qubits <= MAX_QUBITS:
-        raise SimulationError(
-            f"circuit qubit count {circuit.n_qubits} out of range")
     return params
 
 
@@ -274,9 +266,9 @@ def run_circuit_batch(circuit: Circuit, params: np.ndarray,
                       paulis: dict | None = None) -> np.ndarray:
     """Run the circuit on |0...0> for each row of ``params``.
 
-    ``params`` has shape (k, n_params); returns amplitudes of shape
-    (k, 2**n_qubits).  All rows share the gate sequence; only trainable
-    angles differ, which keeps the whole batch inside vectorized numpy ops.
+    ``params`` has shape (k, n_params); returns (k, 2**n_qubits) complex
+    amplitudes.  All rows share the gate sequence and only trainable
+    angles differ, so the batch runs as one rows-last state.
 
     ``paulis`` optionally maps an op index to ``(qubit, codes)`` pairs:
     right after that op, row b gets the Pauli ``codes[b]`` (0 = I,
@@ -284,20 +276,18 @@ def run_circuit_batch(circuit: Circuit, params: np.ndarray,
     their Pauli errors.
     """
     params = _check_params(circuit, params)
-    n = circuit.n_qubits
-    batch = np.zeros((params.shape[0], 2 ** n), dtype=np.complex128)
-    batch[:, 0] = 1.0
+    paulis = paulis or {}
+    real = not paulis and all(op.kind in _REAL_KINDS for op in circuit.ops)
+    psi = np.zeros((2 ** circuit.n_qubits, params.shape[0]),
+                   dtype=np.float64 if real else np.complex128)
+    psi[0] = 1.0
+    tmp = np.empty_like(psi)
     bound = _bind_angles(circuit, params)
     for i, op in enumerate(circuit.ops):
-        if op.kind in TWO_QUBIT_GATES:
-            batch = _apply_2q(batch, n, op.targets, _TWO_QUBIT_MATRICES[op.kind])
-        else:
-            mats = _gate_matrices(op.kind, _op_angles(op, i, bound))
-            batch = _apply_1q(batch, n, op.targets[0], mats)
-        if paulis is not None:
-            for q, codes in paulis.get(i, ()):
-                batch = _apply_1q(batch, n, q, _PAULI_STACK[codes])
-    return batch
+        _apply_op(psi, tmp, op, _op_angles(op, i, bound))
+        for q, codes in paulis.get(i, ()):
+            _apply_1q(psi, tmp, q, _PAULI_STACK[:, :, codes])
+    return np.ascontiguousarray(psi.T, dtype=np.complex128)
 
 
 def _z_signs(n_qubits: int) -> np.ndarray:
@@ -308,15 +298,34 @@ def _z_signs(n_qubits: int) -> np.ndarray:
 
 def _pair_overlaps(bra: np.ndarray, ket: np.ndarray,
                    qubit: int) -> np.ndarray:
-    """M[b, x, y] = sum over the other qubits of conj(bra[b, x]) ket[b, y].
+    """M[b, x, y] = sum over the other qubits of conj(bra[x, b]) ket[y, b].
 
-    With it, <bra|D|ket> for any 2x2 D on ``qubit`` is sum(D * M).
+    For rows-last (2**n, k) ``bra`` and ``ket``; with M, <bra|D|ket> for
+    any 2x2 D on ``qubit`` is sum(D * M) for each row.
     """
-    k = bra.shape[0]
-    inner = 1 << qubit
-    outer = bra.shape[1] // (2 * inner)
-    return np.einsum("koxi,koyi->kxy", bra.conj().reshape(k, outer, 2, inner),
-                     ket.reshape(k, outer, 2, inner))
+    shape = (bra.shape[0] >> (qubit + 1), 2, 1 << qubit, bra.shape[1])
+    return np.einsum("oxik,oyik->kxy", bra.conj().reshape(shape),
+                     ket.reshape(shape))
+
+
+def _adjoint_derivatives(kind: str, angles, m: np.ndarray) -> list:
+    """2 Re sum(D * m) per angle, m = ``_pair_overlaps(lambda', phi')``.
+
+    D = U^dag dU in closed form: -iY/2 (RY), -iZ/2 (RZ); for U3 theta,
+    phi, lam: Rz(-lam)(-iY/2)Rz(lam), i U^dag P1 U and i P1, P1 = |1><1|.
+    """
+    m00, m01, m10, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    if kind == "RY":
+        return [np.real(m10 - m01)]
+    if kind == "RZ":
+        return [np.imag(m00 - m11)]
+    theta, _, lam = angles
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    e = np.exp(1j * lam)
+    return [np.real(e.conj() * m10 - e * m01),
+            -2.0 * np.imag(s * s * m00 + c * c * m11
+                           + s * c * (e * m01 + e.conj() * m10)),
+            -2.0 * np.imag(m11)]
 
 
 def adjoint_z_gradients(circuit: Circuit, params: np.ndarray,
@@ -339,40 +348,35 @@ def adjoint_z_gradients(circuit: Circuit, params: np.ndarray,
         raise SimulationError(
             f"amps {amps.shape} / weights {weights.shape} do not match "
             f"{k} rows on {n} qubits")
+    if all(op.kind in _REAL_KINDS for op in circuit.ops):
+        amps = amps.real
     bound = _bind_angles(circuit, params)
     slots_of = {}
     for s, (op_idx, angle_idx) in enumerate(circuit.param_slots):
         slots_of.setdefault(op_idx, []).append((angle_idx, s))
     grads = np.zeros((k, circuit.n_params))
-    # rows [:k] hold lambda and rows [k:] hold phi, so one apply moves both
-    state = np.concatenate([(weights @ _z_signs(n).T) * amps, amps])
+    # columns [:k] hold lambda and columns [k:] hold phi, so one apply
+    # moves both
+    state = np.concatenate([(weights @ _z_signs(n).T) * amps, amps]).T.copy()
+    tmp = np.empty_like(state)
     for i in range(len(circuit.ops) - 1, -1, -1):
         op = circuit.ops[i]
         if op.kind in TWO_QUBIT_GATES:  # CNOT, CZ and SWAP are self-inverse
-            state = _apply_2q(state, n, op.targets, _TWO_QUBIT_MATRICES[op.kind])
+            _apply_2q(state, tmp, op.kind, op.targets)
             continue
         q = op.targets[0]
         angles = _op_angles(op, i, bound)
         mats = _gate_matrices(op.kind, angles)
-        adj = mats.conj().transpose(0, 2, 1)
-        state = _apply_1q(state, n, q,
-                          np.concatenate([adj, adj]) if len(adj) > 1 else adj)
+        adj = mats.conj().transpose(1, 0, 2)
+        _apply_1q(state, tmp, q, np.concatenate([adj, adj], axis=2)
+                  if adj.shape[2] > 1 else adj)
         if i not in slots_of:
             continue
         # After the step <lambda|dU|phi> = <lambda'|U^dag dU|phi'>.
-        overlaps = _pair_overlaps(state[:k], state[k:], q)
+        derivs = _adjoint_derivatives(
+            op.kind, angles, _pair_overlaps(state[:, :k], state[:, k:], q))
         for a, s in slots_of[i]:
-            if a == 0:  # RY, RZ, U3 theta: the gate at angle + pi, halved
-                d = _gate_matrices(
-                    op.kind, [angles[0] + np.pi] + angles[1:]) / 2.0
-            else:  # U3 phi: row 1 times i; U3 lambda: column 1 times i
-                d = np.zeros_like(mats)
-                if a == 1:
-                    d[:, 1, :] = 1j * mats[:, 1, :]
-                else:
-                    d[:, :, 1] = 1j * mats[:, :, 1]
-            grads[:, s] = 2.0 * np.real(
-                np.sum((adj @ d) * overlaps, axis=(1, 2)))
+            grads[:, s] = derivs[a]
     return grads
 
 
@@ -409,14 +413,9 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
         if not 0 <= q < state.n_qubits:
             raise SimulationError(
                 f"target {q} out of range for {state.n_qubits} qubits")
-    batch = state.amplitudes.reshape(1, -1)
-    if op.kind in TWO_QUBIT_GATES:
-        out = _apply_2q(batch, state.n_qubits, op.targets,
-                        _TWO_QUBIT_MATRICES[op.kind])
-    else:
-        out = _apply_1q(batch, state.n_qubits, op.targets[0],
-                        _gate_matrices(op.kind, op.params))
-    return StateVector(state.n_qubits, out[0])
+    psi = state.amplitudes.reshape(-1, 1).copy()
+    _apply_op(psi, np.empty_like(psi), op, op.params)
+    return StateVector(state.n_qubits, psi[:, 0])
 
 
 def apply_pauli(state: StateVector, pauli: str, qubit: int) -> StateVector:
@@ -425,9 +424,9 @@ def apply_pauli(state: StateVector, pauli: str, qubit: int) -> StateVector:
         raise SimulationError(f"unknown Pauli {pauli!r}")
     if not 0 <= qubit < state.n_qubits:
         raise SimulationError(f"qubit {qubit} out of range")
-    out = _apply_1q(state.amplitudes.reshape(1, -1), state.n_qubits, qubit,
-                    _PAULIS[pauli][None])
-    return StateVector(state.n_qubits, out[0])
+    psi = state.amplitudes.reshape(-1, 1).copy()
+    _apply_1q(psi, np.empty_like(psi), qubit, _PAULIS[pauli])
+    return StateVector(state.n_qubits, psi[:, 0])
 
 
 def pauli_z_expectations(state: StateVector) -> np.ndarray:
@@ -439,33 +438,34 @@ def pauli_z_expectations(state: StateVector) -> np.ndarray:
 def pauli_z_expectations_batch(batch: np.ndarray, n_qubits: int) -> np.ndarray:
     """<Z_q> per qubit for a (k, 2**n) amplitude batch; returns (k, n)."""
     probs = np.abs(batch) ** 2
-    k = batch.shape[0]
-    out = np.empty((k, n_qubits), dtype=np.float64)
+    out = np.empty((batch.shape[0], n_qubits))
     for q in range(n_qubits):
-        inner = 1 << q
-        outer = probs.shape[1] // (2 * inner)
-        p = probs.reshape(k, outer, 2, inner)
-        out[:, q] = (p[:, :, 0, :] - p[:, :, 1, :]).sum(axis=(1, 2))
+        p = probs.reshape(batch.shape[0], -1, 2, 1 << q)
+        out[:, q] = (p[:, :, 0] - p[:, :, 1]).sum(axis=(1, 2))
     return out
 
 
 def index_to_bitstring(index: int, n_qubits: int) -> str:
     """Basis index -> bitstring with qubit 0 first."""
-    return "".join(str((index >> q) & 1) for q in range(n_qubits))
+    return format(index, f"0{n_qubits}b")[::-1]
 
 
 def bitstring_to_index(bits: str) -> int:
     return sum((1 << q) for q, b in enumerate(bits) if b == "1")
 
 
-def sample_bitstrings(state: StateVector, shots: int, seed: int) -> list[str]:
-    """i.i.d. samples from |a_i|^2, deterministic for a given seed."""
+def sample_indices(state: StateVector, shots: int, seed: int) -> np.ndarray:
+    """i.i.d. basis indices drawn from |a_i|^2, deterministic for a seed."""
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng(seed)
     probs = state.probabilities
-    probs = probs / probs.sum()
-    idx = rng.choice(probs.size, size=shots, p=probs)
+    return np.random.default_rng(seed).choice(
+        probs.size, size=shots, p=probs / probs.sum())
+
+
+def sample_bitstrings(state: StateVector, shots: int, seed: int) -> list[str]:
+    """``sample_indices`` as bitstrings."""
+    idx = sample_indices(state, shots, seed)
     bits = (idx[:, None] >> np.arange(state.n_qubits)) & 1
     return ["".join(row) for row in bits.astype("U1")]
 

@@ -88,8 +88,12 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, never an alias: callers pass views of other
+            # gradients, and later calls add into this array in place
+            self.grad = np.empty_like(self.data, order="C")
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def backward(self):
         """Backpropagate from a scalar; accumulates into ``.grad``.
@@ -304,11 +308,8 @@ class Tensor:
 
     def sigmoid(self):
         x = self.data
-        out_data = np.empty_like(x)
-        pos = x >= 0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out_data[~pos] = ex / (1.0 + ex)
+        e = np.exp(-np.abs(x))  # never overflows
+        out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
         def backward():
             if self.requires_grad:

@@ -51,6 +51,27 @@ def test_silu():
     assert abs(Tensor([1.7]).silu().data[0] - s) < 1e-12
 
 
+def test_sigmoid_matches_both_branches_without_overflow():
+    x = np.array([-1000.0, -30.0, -1.5, -0.0, 0.0, 2.5, 40.0, 1000.0])
+    with np.errstate(over="raise"):
+        got = Tensor(x).sigmoid().data
+    want = [np.exp(v) / (1.0 + np.exp(v)) if v < 0 else 1.0 / (1.0 + np.exp(-v))
+            for v in x]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_first_gradient_is_a_contiguous_copy():
+    # callers pass views (transposes, reshapes, slices) of other gradients;
+    # the stored gradient must not alias them, since later calls add into it
+    a = Tensor(np.zeros((2, 3)), requires_grad=True)
+    g = np.arange(6.0).reshape(3, 2).T
+    a._accumulate(g)
+    a._accumulate(g)
+    assert a.grad.flags.c_contiguous and not np.shares_memory(a.grad, g)
+    np.testing.assert_array_equal(g, np.arange(6.0).reshape(3, 2).T)
+    np.testing.assert_array_equal(a.grad, 2 * g)
+
+
 def test_reductions_and_reshape():
     rng = np.random.default_rng(5)
     a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)

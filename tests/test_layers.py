@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import check_grads, numeric_grad
+from oracles import check_grads, numeric_grad, random_circuit
 from qlatent.ansatz import (
     AnsatzKind,
     AnsatzSpec,
@@ -298,6 +298,20 @@ def test_quantum_layer_adjoint_matches_parameter_shift(kind, n_qubits):
                                rtol=0, atol=1e-10)
     np.testing.assert_allclose(layer.theta.grad, ref[:, n_qubits:].sum(axis=0),
                                rtol=0, atol=1e-10)
+
+
+def test_adjoint_matches_parameter_shift_on_random_circuits():
+    # the full gate set: RZ slots and SWAP/CZ in the reverse sweep
+    rng = np.random.default_rng(23)
+    for n in (1, 3, 4):
+        circuit = random_circuit(rng, n, 24)
+        params = rng.uniform(0.0, 2 * np.pi, size=(3, circuit.n_params))
+        weights = rng.standard_normal((3, n))
+        got = adjoint_z_gradients(circuit, params,
+                                  run_circuit_batch(circuit, params), weights)
+        np.testing.assert_allclose(
+            got, _weighted_shift_gradients(circuit, params, weights),
+            rtol=0, atol=1e-10)
 
 
 def test_adjoint_matches_parameter_shift_around_fixed_gates():

@@ -16,7 +16,9 @@ from qlatent.noise import (
 from qlatent.statevector import (
     Circuit,
     bitstring_to_index,
+    index_to_bitstring,
     run_circuit,
+    sample_bitstrings,
 )
 
 
@@ -122,6 +124,39 @@ def test_sampling_control_distance_floor():
 
     basis = run_circuit(Circuit(2))
     assert sampling_control_distance(basis, 1000, seeds=(0, 1)) == 0.0
+
+
+def _loop_marginals(dist):
+    """The per-character reference: counts added in key order."""
+    ones = np.zeros(dist.n_qubits)
+    for key, c in dist.counts.items():
+        for q, b in enumerate(key):
+            if b == "1":
+                ones[q] += c
+    return ones / dist.total
+
+
+def test_marginals_equal_the_per_character_loop():
+    rng = np.random.default_rng(47)
+    c = random_circuit(rng, 6, 30)
+    probs = run_circuit(c, rng.uniform(0, 2 * np.pi, c.n_params)).probabilities
+    exact = EmpiricalDistribution(6, {
+        index_to_bitstring(i, 6): float(p) for i, p in enumerate(probs)
+        if p > 0})
+    sampled = EmpiricalDistribution.from_samples(
+        sample_bitstrings(run_circuit(c, np.zeros(c.n_params)), 500, 3), 6)
+    for dist in (exact, sampled):
+        np.testing.assert_array_equal(dist.marginals(), _loop_marginals(dist))
+
+
+def test_sampling_control_distance_equals_the_string_path():
+    rng = np.random.default_rng(53)
+    c = random_circuit(rng, 5, 25)
+    st = run_circuit(c, rng.uniform(0, 2 * np.pi, c.n_params))
+    a, b = (EmpiricalDistribution.from_samples(
+        sample_bitstrings(st, 700, seed), 5) for seed in (11, 12))
+    assert sampling_control_distance(st, 700, (11, 12)) == \
+        expected_hamming_distance(a, b)
 
 
 def test_mitigation_identity_confusion_is_noop():

@@ -145,6 +145,81 @@ def test_batched_pauli_insertions_match_dense_oracle():
         assert np.abs(batch[b] - want).max() < 1e-12
 
 
+def _scrambled(n, k, rng):
+    """A circuit of trainable U3 on every qubit and k generic angle rows."""
+    c = Circuit(n)
+    for q in range(n):
+        c.add("U3", (q,), (0.0, 0.0, 0.0), trainable=True)
+    return c, rng.uniform(0, 2 * np.pi, (k, c.n_params))
+
+
+def test_two_qubit_permutations_on_every_pair_match_dense():
+    # control above and below the target, every pair, several rows
+    rng = np.random.default_rng(37)
+    n, k = 5, 3
+    for kind in ("CNOT", "CZ", "SWAP"):
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                c, params = _scrambled(n, k, rng)
+                c.add(kind, (a, b))
+                got = run_circuit_batch(c, params)
+                for r in range(k):
+                    want = dense_run(c, params[r])
+                    assert np.abs(got[r] - want).max() < 1e-12, (kind, a, b)
+
+
+def test_real_gate_circuits_match_dense_with_zero_imaginary_part():
+    # RY/CNOT/CZ/SWAP-only circuits without Pauli codes run in float64
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 4, 5):
+        c = Circuit(n)
+        for _ in range(30):
+            if n > 1 and rng.random() < 0.4:
+                a, b = rng.choice(n, size=2, replace=False)
+                c.add(str(rng.choice(["CNOT", "CZ", "SWAP"])),
+                      (int(a), int(b)))
+            else:
+                c.add("RY", (int(rng.integers(n)),),
+                      (rng.uniform(0, 2 * np.pi),),
+                      trainable=bool(rng.random() < 0.5))
+        params = rng.uniform(0, 2 * np.pi, (4, c.n_params))
+        got = run_circuit_batch(c, params)
+        assert got.dtype == np.complex128 and got.shape == (4, 2 ** n)
+        assert not got.imag.any()
+        for r in range(4):
+            assert np.abs(got[r] - dense_run(c, params[r])).max() < 1e-12
+
+
+def test_pauli_codes_on_a_real_circuit_run_complex():
+    # Y has imaginary entries: a real-only circuit with Y codes must not
+    # drop them on the float path
+    rng = np.random.default_rng(43)
+    n, k = 3, 4
+    c = Circuit(n)
+    for q in range(n):
+        c.add("RY", (q,), (0.0,), trainable=True)
+    c.add("CNOT", (0, 1))
+    c.add("CZ", (1, 2))
+    c.add("RY", (2,), (0.9,))
+    params = rng.uniform(0, 2 * np.pi, (k, c.n_params))
+    codes = np.array([2, 0, 2, 1])
+    paulis = {1: [(1, codes)], 4: [(0, codes[::-1])]}
+    got = run_circuit_batch(c, params, paulis)
+    mats = [np.eye(2), np.array([[0, 1], [1, 0]]),
+            np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    for b in range(k):
+        want = dense_run(Circuit(n), ())
+        bound = bind_params(c, params[b])
+        for i, op in enumerate(bound.ops):
+            want = dense_circuit_unitary(Circuit(n, [op]), ()) @ want
+            for q, cs in paulis.get(i, ()):
+                want = embed_one_qubit(mats[cs[b]], q, n) @ want
+        assert np.abs(got[b] - want).max() < 1e-12
+    assert got.imag.any()
+
+
 def test_bind_params_freezes_slots():
     rng = np.random.default_rng(17)
     c = random_circuit(rng, 3, 15)
@@ -211,6 +286,8 @@ def test_bitstring_round_trip():
     assert bitstring_to_index("001") == 4
     for i in range(16):
         assert bitstring_to_index(index_to_bitstring(i, 4)) == i
+        assert index_to_bitstring(i, 4) == "".join(
+            str((i >> q) & 1) for q in range(4))
 
 
 def test_sampling_deterministic_given_seed():
