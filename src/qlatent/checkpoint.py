@@ -6,13 +6,16 @@ byte-identical):
 
     b"QLDM" | version | len+kind | len+config JSON | n_tensors
     then per tensor: len+name | ndim | dims... | raw data
+
+A model's config JSON is ``dataclasses.asdict`` of its config plus run
+keys; :func:`config_from_echo` rebuilds the config from it.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +104,13 @@ def load_checkpoint(path) -> Checkpoint:
     if reader.pos != len(reader.data):
         raise ValueError("trailing bytes after last tensor")
     return Checkpoint(kind=kind, config=config, tensors=tensors)
+
+
+def config_from_echo(cls, echo: dict):
+    """Rebuild dataclass ``cls`` from a config echo, skipping run keys
+    (such as ``timesteps``) that are not fields of ``cls``."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in echo.items() if k in names})
 
 
 def state_dict(model: Module) -> dict[str, np.ndarray]:

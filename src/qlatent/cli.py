@@ -16,6 +16,7 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .ansatz import AnsatzKind, AnsatzSpec, build_ansatz, param_count
 from .checkpoint import (
+    config_from_echo,
     load_checkpoint,
     load_state_dict,
     save_checkpoint,
@@ -133,6 +135,13 @@ def _parse_kinds(text: str) -> list[AnsatzKind]:
     return kinds
 
 
+def _one_kind(text: str) -> AnsatzKind:
+    kinds = _parse_kinds(text)
+    if len(kinds) != 1:
+        raise ValueError(f"q_kind: name exactly one ansatz kind, got {text!r}")
+    return kinds[0]
+
+
 def _alpha_tag(alpha: float) -> str:
     return "a" + f"{alpha:g}".replace(".", "p")
 
@@ -153,11 +162,6 @@ _EVAL_FIELDS = [
 ]
 
 
-def _ansatz_spec_from(cfg: dict) -> AnsatzSpec:
-    kind = _parse_kinds(cfg["q_kind"])[0]
-    return AnsatzSpec(kind, cfg["q_qubits"], cfg["q_layers"])
-
-
 def _require_file(path_text: str, what: str) -> Path:
     if not path_text:
         raise ValueError(f"config key {what!r} must be set")
@@ -167,52 +171,70 @@ def _require_file(path_text: str, what: str) -> Path:
     return path
 
 
-def _load_model_checkpoint(path: Path, expect_kind: str):
+_MODELS = {"vae": (VAE, VAEConfig), "unet": (UNet, UNetConfig)}
+
+
+def _load_model(path_text: str, key: str, kind: str):
+    """(model, config echo) from the ``kind`` checkpoint at key ``key``."""
+    path = _require_file(path_text, key)
     try:
         ckpt = load_checkpoint(path)
     except ValueError as exc:
         raise ValueError(f"corrupt checkpoint {path}: {exc}") from None
-    if ckpt.kind != expect_kind:
+    if ckpt.kind != kind:
         raise ValueError(
-            f"{path} holds a {ckpt.kind!r} checkpoint, expected "
-            f"{expect_kind!r}")
-    return ckpt
-
-
-def _vae_from_checkpoint(ckpt) -> VAE:
-    c = ckpt.config
-    config = VAEConfig(
-        image_size=c["image_size"], in_channels=c["in_channels"],
-        latent_channels=c["latent_channels"],
-        base_channels=c["base_channels"], kl_weight=c["kl_weight"],
-        ssim_weight=c["ssim_weight"], quantum=c["quantum"],
-        q_qubits=c["q_qubits"], q_layers=c["q_layers"],
-        q_kind=AnsatzKind(c["q_kind"]))
-    model = VAE(config, seed=0)
+            f"{path} holds a {ckpt.kind!r} checkpoint, expected {kind!r}")
+    model_cls, config_cls = _MODELS[kind]
+    model = model_cls(config_from_echo(config_cls, ckpt.config), seed=0)
     load_state_dict(model, ckpt.tensors)
-    return model
+    return model, ckpt.config
 
 
-def _unet_from_checkpoint(ckpt) -> tuple[UNet, dict]:
-    c = ckpt.config
-    config = UNetConfig(
-        latent_channels=c["latent_channels"], latent_size=c["latent_size"],
-        base_channels=c["base_channels"], time_dim=c["time_dim"],
-        num_classes=c["num_classes"], quantum=c["quantum"],
-        q_qubits=c["q_qubits"], q_layers=c["q_layers"],
-        q_kind=AnsatzKind(c["q_kind"]))
-    model = UNet(config, seed=0)
-    load_state_dict(model, ckpt.tensors)
-    return model, c
-
-
-def _quantum_layer_report(model) -> tuple[int, int]:
-    """(number of quantum layers, circuit parameters per layer)."""
+def _quantum_log(model) -> tuple[str, list[str]]:
+    """Log lines: the quantum-layer count, and each layer's circuit size."""
     layers = [m for m in model.iter_modules()
               if isinstance(m, QuantumLayer)]
+    count = f"quantum layers = {len(layers)}"
     if not layers:
-        return 0, 0
-    return len(layers), param_count(layers[0].spec)
+        return count, []
+    spec = layers[0].spec
+    n, depth = spec.n_qubits, spec.n_layers
+    if spec.kind == AnsatzKind.S2D:
+        terms = f"{n} + 2 * {depth} layers * {n - 1} pairs"
+    elif spec.kind == AnsatzKind.BE:
+        terms = f"{depth} layers * {n} qubits"
+    else:
+        terms = f"3 * {depth} layers * {n} qubits"
+    return count, [f"quantum circuit parameters per layer = "
+                   f"{param_count(spec)} ({terms})"]
+
+
+def _fit(cfg: dict, out: Path, model, kind: str, stem: str, echo: dict,
+         n: int, step, columns: list[str]) -> tuple[list[list], list[float]]:
+    """Train on ``n`` rows; returns the loss CSV rows and epoch means.
+
+    Each epoch draws one permutation from the run RNG, then per batch
+    ``step(optimizer, idx, rng)`` returns the losses named in ``columns``
+    (total last).  Writes ``<stem>_ep<k>.qldm``, ``<stem>.qldm`` and
+    ``<stem>_loss.csv``.
+    """
+    rng = np.random.default_rng(cfg["seed"])
+    optimizer = Adam(model.parameters(), lr=cfg["learning_rate"])
+    rows, epoch_means = [], []
+    for epoch in range(1, cfg["epochs"] + 1):
+        perm = rng.permutation(n)
+        totals = []
+        for lo in range(0, n, cfg["batch_size"]):
+            losses = step(optimizer, perm[lo:lo + cfg["batch_size"]], rng)
+            totals.append(losses[columns[-1]])
+            rows.append([epoch, len(rows) + 1,
+                         *(_f(losses[c]) for c in columns)])
+        epoch_means.append(float(np.mean(totals)))
+        save_checkpoint(out / f"{stem}_ep{epoch}.qldm", kind, echo,
+                        state_dict(model))
+    save_checkpoint(out / f"{stem}.qldm", kind, echo, state_dict(model))
+    _write_csv(out / f"{stem}_loss.csv", ["epoch", "step", *columns], rows)
+    return rows, epoch_means
 
 
 def _load_images_for_training(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -416,13 +438,8 @@ def check_train_vae(cfg: dict, out: Path) -> dict:
         raise ValueError("epochs and batch_size must be >= 1")
     if cfg["learning_rate"] <= 0:
         raise ValueError("learning_rate: must be > 0")
-    config = VAEConfig(
-        image_size=cfg["image_size"],
-        latent_channels=cfg["latent_channels"],
-        base_channels=cfg["base_channels"], kl_weight=cfg["kl_weight"],
-        ssim_weight=cfg["ssim_weight"], quantum=cfg["quantum"],
-        q_qubits=cfg["q_qubits"], q_layers=cfg["q_layers"],
-        q_kind=_parse_kinds(cfg["q_kind"])[0])
+    config = config_from_echo(
+        VAEConfig, dict(cfg, q_kind=_one_kind(cfg["q_kind"])))
     images, labels = _load_images_for_training(cfg)
     if images.shape[2] != cfg["image_size"]:
         raise ValueError(
@@ -431,58 +448,25 @@ def check_train_vae(cfg: dict, out: Path) -> dict:
     return {"config": config, "images": images}
 
 
-def _vae_config_echo(config: VAEConfig) -> dict:
-    return {
-        "image_size": config.image_size, "in_channels": config.in_channels,
-        "latent_channels": config.latent_channels,
-        "base_channels": config.base_channels,
-        "kl_weight": config.kl_weight, "ssim_weight": config.ssim_weight,
-        "quantum": config.quantum, "q_qubits": config.q_qubits,
-        "q_layers": config.q_layers, "q_kind": config.q_kind.value,
-    }
-
-
 def run_train_vae(cfg: dict, out: Path, ctx: dict) -> None:
     config, images = ctx["config"], ctx["images"]
-    rng = np.random.default_rng(cfg["seed"])
     model = VAE(config, seed=cfg["seed"])
-    optimizer = Adam(model.parameters(), lr=cfg["learning_rate"])
-    echo = _vae_config_echo(config)
-    n = images.shape[0]
-    rows = []
-    epoch_means = []
-    step = 0
-    for epoch in range(1, cfg["epochs"] + 1):
-        perm = rng.permutation(n)
-        totals = []
-        for lo in range(0, n, cfg["batch_size"]):
-            batch = images[perm[lo:lo + cfg["batch_size"]]]
-            parts = vae_train_step(model, optimizer, batch, rng)
-            step += 1
-            totals.append(parts["total"])
-            rows.append([epoch, step, _f(parts["l1"]), _f(parts["ssim"]),
-                         _f(parts["kl"]), _f(parts["total"])])
-        epoch_means.append(float(np.mean(totals)))
-        save_checkpoint(out / f"vae_ep{epoch}.qldm", "vae", echo,
-                        state_dict(model))
-    save_checkpoint(out / "vae.qldm", "vae", echo, state_dict(model))
-    _write_csv(out / "vae_loss.csv",
-               ["epoch", "step", "l1", "ssim", "kl", "total"], rows)
+    rows, epoch_means = _fit(
+        cfg, out, model, "vae", "vae", asdict(config), images.shape[0],
+        lambda opt, idx, rng: vae_train_step(model, opt, images[idx], rng),
+        ["l1", "ssim", "kl", "total"])
     write_line_plot(
         out / "vae_loss.svg",
-        [LineSeries("total", tuple(range(1, step + 1)),
-                    tuple(float(r[5]) for r in rows))],
+        [LineSeries("total", tuple(range(1, len(rows) + 1)),
+                    tuple(float(r[-1]) for r in rows))],
         title="autoencoder training loss", xlabel="step", ylabel="loss")
-    n_q, per_layer = _quantum_layer_report(model)
+    quantum_count, quantum_detail = _quantum_log(model)
     log = [
-        f"train images = {n}",
+        f"train images = {images.shape[0]}",
         f"model parameters = {model.parameter_count()}",
-        f"quantum layers = {n_q}",
+        quantum_count,
+        *quantum_detail,
     ]
-    if n_q:
-        log.append(f"quantum circuit parameters per layer = {per_layer} "
-                   f"(3 * {config.q_layers} layers * {config.q_qubits} "
-                   f"qubits)")
     for epoch, mean in enumerate(epoch_means, start=1):
         log.append(f"epoch {epoch}: mean total loss = {_f(mean)}")
     (out / "train_vae_log.txt").write_text("\n".join(log) + "\n")
@@ -512,8 +496,7 @@ def check_train_ddpm(cfg: dict, out: Path) -> dict:
         raise ValueError("epochs and batch_size must be >= 1")
     if cfg["learning_rate"] <= 0:
         raise ValueError("learning_rate: must be > 0")
-    vae_path = _require_file(cfg["vae_checkpoint"], "vae_checkpoint")
-    vae = _vae_from_checkpoint(_load_model_checkpoint(vae_path, "vae"))
+    vae, _ = _load_model(cfg["vae_checkpoint"], "vae_checkpoint", "vae")
     images, labels = _load_images_for_training(cfg)
     if images.shape[2] != vae.config.image_size:
         raise ValueError(
@@ -521,12 +504,10 @@ def check_train_ddpm(cfg: dict, out: Path) -> dict:
             f"was trained at {vae.config.image_size}px")
     schedule = build_schedule(cfg["timesteps"], cfg["beta_start"],
                               cfg["beta_end"])
-    config = UNetConfig(
+    config = config_from_echo(UNetConfig, dict(
+        cfg, q_kind=_one_kind(cfg["q_kind"]),
         latent_channels=vae.config.latent_channels,
-        latent_size=vae.config.latent_size,
-        base_channels=cfg["base_channels"], time_dim=cfg["time_dim"],
-        num_classes=3, quantum=cfg["quantum"], q_qubits=cfg["q_qubits"],
-        q_layers=cfg["q_layers"], q_kind=_parse_kinds(cfg["q_kind"])[0])
+        latent_size=vae.config.latent_size, num_classes=3))
     return {"vae": vae, "images": images, "labels": labels,
             "schedule": schedule, "config": config}
 
@@ -534,64 +515,36 @@ def check_train_ddpm(cfg: dict, out: Path) -> dict:
 def run_train_ddpm(cfg: dict, out: Path, ctx: dict) -> None:
     vae, images, labels = ctx["vae"], ctx["images"], ctx["labels"]
     schedule, config = ctx["schedule"], ctx["config"]
-    rng = np.random.default_rng(cfg["seed"])
     latents = encode_dataset(vae, images)
     scale = latent_scale(latents)
     z = latents * scale
     model = UNet(config, seed=cfg["seed"])
-    optimizer = Adam(model.parameters(), lr=cfg["learning_rate"])
     baseline = zero_prediction_baseline(
         z[:min(64, z.shape[0])], schedule,
         np.random.default_rng(cfg["seed"] + 1))
-    echo = {
-        "latent_channels": config.latent_channels,
-        "latent_size": config.latent_size,
-        "base_channels": config.base_channels,
-        "time_dim": config.time_dim, "num_classes": config.num_classes,
-        "quantum": config.quantum, "q_qubits": config.q_qubits,
-        "q_layers": config.q_layers, "q_kind": config.q_kind.value,
-        "timesteps": cfg["timesteps"], "beta_start": cfg["beta_start"],
-        "beta_end": cfg["beta_end"], "latent_scale": scale,
-        "image_size": vae.config.image_size,
-    }
-    n = z.shape[0]
-    rows = []
-    epoch_means = []
-    step = 0
-    for epoch in range(1, cfg["epochs"] + 1):
-        perm = rng.permutation(n)
-        losses = []
-        for lo in range(0, n, cfg["batch_size"]):
-            idx = perm[lo:lo + cfg["batch_size"]]
-            loss = ddpm_train_step(model, optimizer, z[idx], labels[idx],
-                                   schedule, rng)
-            step += 1
-            losses.append(loss)
-            rows.append([epoch, step, _f(loss)])
-        epoch_means.append(float(np.mean(losses)))
-        save_checkpoint(out / f"ddpm_ep{epoch}.qldm", "unet", echo,
-                        state_dict(model))
-    save_checkpoint(out / "ddpm.qldm", "unet", echo, state_dict(model))
-    _write_csv(out / "ddpm_loss.csv", ["epoch", "step", "loss"], rows)
+    echo = dict(asdict(config), timesteps=cfg["timesteps"],
+                beta_start=cfg["beta_start"], beta_end=cfg["beta_end"],
+                latent_scale=scale, image_size=vae.config.image_size)
+    rows, epoch_means = _fit(
+        cfg, out, model, "unet", "ddpm", echo, z.shape[0],
+        lambda opt, idx, rng: {"loss": ddpm_train_step(
+            model, opt, z[idx], labels[idx], schedule, rng)},
+        ["loss"])
     write_line_plot(
         out / "ddpm_loss.svg",
-        [LineSeries("loss", tuple(range(1, step + 1)),
-                    tuple(float(r[2]) for r in rows)),
-         LineSeries("zero baseline", (1, step),
-                    (baseline, baseline))],
+        [LineSeries("loss", tuple(range(1, len(rows) + 1)),
+                    tuple(float(r[-1]) for r in rows)),
+         LineSeries("zero baseline", (1, len(rows)), (baseline, baseline))],
         title="noise prediction loss", xlabel="step", ylabel="mse")
-    n_q, per_layer = _quantum_layer_report(model)
+    quantum_count, quantum_detail = _quantum_log(model)
     log = [
-        f"train latents = {n}",
+        f"train latents = {z.shape[0]}",
         f"latent scale = {_f(scale)}",
         f"model parameters = {model.parameter_count()}",
-        f"quantum layers = {n_q}",
+        quantum_count,
         f"zero-prediction baseline = {_f(baseline)}",
+        *quantum_detail,
     ]
-    if n_q:
-        log.append(f"quantum circuit parameters per layer = {per_layer} "
-                   f"(3 * {config.q_layers} layers * {config.q_qubits} "
-                   f"qubits)")
     for epoch, mean in enumerate(epoch_means, start=1):
         log.append(f"epoch {epoch}: mean loss = {_f(mean)}")
     log.append(f"final epoch loss / baseline = "
@@ -618,11 +571,9 @@ SCHEMA_SAMPLE = [
 
 
 def check_sample(cfg: dict, out: Path) -> dict:
-    vae_path = _require_file(cfg["vae_checkpoint"], "vae_checkpoint")
-    ddpm_path = _require_file(cfg["ddpm_checkpoint"], "ddpm_checkpoint")
-    vae = _vae_from_checkpoint(_load_model_checkpoint(vae_path, "vae"))
-    unet, echo = _unet_from_checkpoint(
-        _load_model_checkpoint(ddpm_path, "unet"))
+    vae, _ = _load_model(cfg["vae_checkpoint"], "vae_checkpoint", "vae")
+    unet, echo = _load_model(cfg["ddpm_checkpoint"], "ddpm_checkpoint",
+                             "unet")
     if unet.config.latent_size != vae.config.latent_size \
             or unet.config.latent_channels != vae.config.latent_channels:
         raise ValueError("checkpoint mismatch: the UNet latent geometry "
@@ -819,18 +770,12 @@ def check_compare(cfg: dict, out: Path) -> dict:
     real_images, real_labels = load_split(real_manifest, cfg["split"])
     variants = {}
     for name in names:
-        vae_text = cfg[f"{name}_vae"]
-        ddpm_text = cfg[f"{name}_ddpm"]
-        if not vae_text or not Path(vae_text).is_file():
-            raise ValueError(
-                f"variant {name}: missing VAE checkpoint {vae_text!r}")
-        if not ddpm_text or not Path(ddpm_text).is_file():
-            raise ValueError(
-                f"variant {name}: missing UNet checkpoint {ddpm_text!r}")
-        vae = _vae_from_checkpoint(
-            _load_model_checkpoint(Path(vae_text), "vae"))
-        unet, echo = _unet_from_checkpoint(
-            _load_model_checkpoint(Path(ddpm_text), "unet"))
+        try:
+            vae, _ = _load_model(cfg[f"{name}_vae"], f"{name}_vae", "vae")
+            unet, echo = _load_model(cfg[f"{name}_ddpm"], f"{name}_ddpm",
+                                     "unet")
+        except ValueError as exc:
+            raise ValueError(f"variant {name}: {exc}") from None
         variants[name] = (vae, unet, echo)
     return {"names": names, "variants": variants,
             "real_images": real_images, "real_labels": real_labels}
@@ -854,14 +799,13 @@ def run_compare(cfg: dict, out: Path, ctx: dict) -> None:
             np.random.default_rng(cfg["seed"]), warnings)
         report = evaluate_sets(real, images, method=cfg["embed_method"],
                                seed=cfg["seed"], k=cfg["knn_k"])
-        n_q_vae, per_layer_vae = _quantum_layer_report(vae)
-        n_q_unet, per_layer_unet = _quantum_layer_report(unet)
-        per_layer = max(per_layer_vae, per_layer_unet)
+        layers = [m for model in (vae, unet) for m in model.iter_modules()
+                  if isinstance(m, QuantumLayer)]
         nodes = cfg[f"{name}_cdcnn_nodes"]
         rows.append([
             name, vae.parameter_count(), unet.parameter_count(),
-            n_q_vae + n_q_unet, per_layer, 4 * nodes ** 4,
-            *report.csv_row()])
+            len(layers), max((param_count(m.spec) for m in layers), default=0),
+            4 * nodes ** 4, *report.csv_row()])
     _write_csv(out / "compare_models.csv",
                ["variant", "vae_params", "unet_params", "quantum_layers",
                 "quantum_params_per_layer", "cdcnn_added_params",

@@ -87,6 +87,8 @@ class UNetConfig:
     q_kind: AnsatzKind = AnsatzKind.ESE2
 
     def __post_init__(self):
+        # a config rebuilt from JSON carries the kind as its string value
+        object.__setattr__(self, "q_kind", AnsatzKind(self.q_kind))
         if self.latent_size < 4 or self.latent_size & (self.latent_size - 1):
             raise ValueError("latent_size must be a power of two, >= 4")
         if self.base_channels < 4 or self.base_channels % 4:

@@ -10,7 +10,7 @@ model is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class VAEConfig:
     q_kind: AnsatzKind = AnsatzKind.ESE2
 
     def __post_init__(self):
+        # a config rebuilt from JSON carries the kind as its string value
+        object.__setattr__(self, "q_kind", AnsatzKind(self.q_kind))
         if self.image_size % 8:
             raise ValueError("image_size must be divisible by 8")
         if self.base_channels < 4 or self.base_channels % 4:

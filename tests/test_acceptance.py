@@ -17,7 +17,7 @@ import pytest
 from oracles import check_grads, dense_run, random_circuit
 from qlatent.ansatz import (AnsatzKind, AnsatzSpec, build_ansatz,
                             build_trainable_encoder, param_count)
-from qlatent.checkpoint import load_checkpoint
+from qlatent.checkpoint import config_from_echo, load_checkpoint
 from qlatent.cli import main as cli_main
 from qlatent.diagnostics import (entanglement_entropy,
                                  entanglement_entropy_stats, fit_bp_slope,
@@ -419,9 +419,10 @@ def test_criterion_07_forward_diffusion_statistics():
 # criterion 8: end-to-end training, classical and quantum variants
 
 
-def _quantum_update_norms(ckpt_path, build_model) -> tuple[float, float]:
+def _quantum_update_norms(ckpt_path, model_cls,
+                          config_cls) -> tuple[float, float]:
     ckpt = load_checkpoint(ckpt_path)
-    fresh = build_model(ckpt.config)
+    fresh = model_cls(config_from_echo(config_cls, ckpt.config), seed=0)
     init = {name: p.data for name, p in fresh.named_parameters()}
     qnames = [name for name in ckpt.tensors if "qmix" in name]
     assert qnames, "checkpoint holds no quantum-layer parameters"
@@ -430,26 +431,6 @@ def _quantum_update_norms(ckpt_path, build_model) -> tuple[float, float]:
     theta = np.sqrt(sum(float(((ckpt.tensors[n] - init[n]) ** 2).sum())
                         for n in qnames if "theta" in n))
     return float(total), float(theta)
-
-
-def _build_vae(config: dict) -> VAE:
-    return VAE(VAEConfig(
-        image_size=config["image_size"], in_channels=config["in_channels"],
-        latent_channels=config["latent_channels"],
-        base_channels=config["base_channels"], kl_weight=config["kl_weight"],
-        ssim_weight=config["ssim_weight"], quantum=config["quantum"],
-        q_qubits=config["q_qubits"], q_layers=config["q_layers"],
-        q_kind=AnsatzKind(config["q_kind"])), seed=0)
-
-
-def _build_unet(config: dict) -> UNet:
-    return UNet(UNetConfig(
-        latent_channels=config["latent_channels"],
-        latent_size=config["latent_size"],
-        base_channels=config["base_channels"], time_dim=config["time_dim"],
-        num_classes=config["num_classes"], quantum=config["quantum"],
-        q_qubits=config["q_qubits"], q_layers=config["q_layers"],
-        q_kind=AnsatzKind(config["q_kind"])), seed=0)
 
 
 def test_criterion_08_end_to_end_training(classical_run, quantum_run):
@@ -473,9 +454,9 @@ def test_criterion_08_end_to_end_training(classical_run, quantum_run):
     finite = (np.all(np.isfinite(q_vae_losses))
               and np.all(np.isfinite(q_ddpm_losses)))
     vae_norm, vae_theta = _quantum_update_norms(quantum_run / "vae.qldm",
-                                                _build_vae)
+                                                VAE, VAEConfig)
     unet_norm, unet_theta = _quantum_update_norms(quantum_run / "ddpm.qldm",
-                                                  _build_unet)
+                                                  UNet, UNetConfig)
     moved = min(vae_norm, vae_theta, unet_norm, unet_theta) > 0
 
     ok = vae_mono and ddpm_mono and ratio < 0.9 and bool(finite) and moved

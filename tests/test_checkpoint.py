@@ -1,16 +1,21 @@
 """Round-trip and validation tests for the binary checkpoint format."""
 
+import dataclasses
+from enum import Enum
+
 import numpy as np
 import pytest
 
 from qlatent.checkpoint import (
     MAGIC,
     Checkpoint,
+    config_from_echo,
     load_checkpoint,
     load_state_dict,
     save_checkpoint,
     state_dict,
 )
+from qlatent.diffusion import UNetConfig
 from qlatent.layers import Linear, Module
 from qlatent.tensor import Tensor
 from qlatent.vae import VAE, VAEConfig
@@ -145,3 +150,28 @@ def test_vae_checkpoint_round_trip(tmp_path):
     mu_src, _ = src.encode(x)
     mu_dst, _ = dst.encode(x)
     np.testing.assert_allclose(mu_dst.data, mu_src.data, atol=1e-4)
+
+
+def _non_default(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, Enum):
+        return next(member for member in type(value) if member != value)
+    return 2 * value
+
+
+@pytest.mark.parametrize("cls", [VAEConfig, UNetConfig])
+def test_config_echo_round_trip(tmp_path, cls):
+    fields = dataclasses.fields(cls)
+    config = cls(**{f.name: _non_default(f.default) for f in fields})
+    assert all(getattr(config, f.name) != f.default for f in fields)
+    assert config_from_echo(cls, dataclasses.asdict(config)) == config
+    # through the file: the kind comes back as a string, next to run keys
+    run_keys = {"timesteps": 7, "beta_start": 0.5, "latent_scale": 0.25,
+                "image_size": 999}
+    echo = dict(run_keys, **dataclasses.asdict(config))
+    path = save_checkpoint(tmp_path / "c.qldm", "toy", echo, {})
+    rebuilt = config_from_echo(cls, load_checkpoint(path).config)
+    assert rebuilt == config
+    for f in fields:
+        assert type(getattr(rebuilt, f.name)) is type(getattr(config, f.name))

@@ -5,15 +5,14 @@ tiny scale (32px images, 4-channel models, handfuls of steps); the
 tests then inspect its artifacts and probe the error paths.
 """
 
-import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from qlatent.ansatz import AnsatzKind
-from qlatent.checkpoint import load_checkpoint, save_checkpoint, state_dict
+from qlatent.checkpoint import (config_from_echo, load_checkpoint,
+                                save_checkpoint, state_dict)
 from qlatent.cli import main
 from qlatent.data import read_ppm
 from qlatent.diffusion import UNet, UNetConfig
@@ -166,14 +165,82 @@ def test_quantum_train_logs_parameter_count(pipeline, tmp_path):
     assert "3 * 1 layers * 2 qubits" in log
 
 
+@pytest.mark.parametrize("kind, line", [
+    ("be", "quantum circuit parameters per layer = 6 (2 layers * 3 qubits)"),
+    ("S2D", "quantum circuit parameters per layer = 11 "
+            "(3 + 2 * 2 layers * 2 pairs)"),
+])
+def test_quantum_train_logs_parameter_arithmetic(pipeline, tmp_path, kind,
+                                                 line):
+    manifest = str(pipeline / "dataset" / "manifest.csv")
+    code = main(["train-vae", "--out", str(tmp_path),
+                 "--set", f"data={manifest}", "--set", "image_size=32",
+                 "--set", "base_channels=4", "--set", "epochs=1",
+                 "--set", "batch_size=4", "--set", "max_images=4",
+                 "--set", "quantum=true", "--set", f"q_kind={kind}",
+                 "--set", "q_qubits=3", "--set", "q_layers=2"])
+    assert code == 0
+    assert line in (tmp_path / "train_vae_log.txt").read_text().splitlines()
+    ckpt = load_checkpoint(tmp_path / "vae.qldm")
+    assert ckpt.config["q_kind"] == kind.upper()
+
+
+def test_q_kind_must_name_one_kind(pipeline, tmp_path, capsys):
+    manifest = str(pipeline / "dataset" / "manifest.csv")
+    code = main(["train-vae", "--out", str(tmp_path),
+                 "--set", f"data={manifest}", "--set", "image_size=32",
+                 "--set", "quantum=true", "--set", "q_kind=be,SE"])
+    assert code == 1
+    assert "exactly one ansatz kind" in capsys.readouterr().err
+    assert not (tmp_path / "vae.qldm").exists()
+
+
+def test_sample_loads_checkpoints_with_the_original_echo_keys(pipeline,
+                                                              tmp_path):
+    # echo key sets as the first .qldm writers produced them; files of
+    # that shape must keep loading as fields are added to the configs
+    vae_echo = {"image_size": 32, "in_channels": 3, "latent_channels": 4,
+                "base_channels": 4, "kl_weight": 1e-6, "ssim_weight": 1.0,
+                "quantum": False, "q_qubits": 4, "q_layers": 2,
+                "q_kind": "ESE2"}
+    ddpm = load_checkpoint(pipeline / "ddpm.qldm")
+    unet_echo = {"latent_channels": 4, "latent_size": 4, "base_channels": 4,
+                 "time_dim": 64, "num_classes": 3, "quantum": False,
+                 "q_qubits": 4, "q_layers": 2, "q_kind": "ESE2",
+                 "timesteps": 100, "beta_start": 1e-4, "beta_end": 0.02,
+                 "latent_scale": ddpm.config["latent_scale"],
+                 "image_size": 32}
+    save_checkpoint(tmp_path / "vae.qldm", "vae", vae_echo,
+                    load_checkpoint(pipeline / "vae.qldm").tensors)
+    save_checkpoint(tmp_path / "ddpm.qldm", "unet", unet_echo, ddpm.tensors)
+
+    def sample(out, ckpt_dir):
+        assert main(["sample", "--out", str(out),
+                     "--set", f"vae_checkpoint={ckpt_dir / 'vae.qldm'}",
+                     "--set", f"ddpm_checkpoint={ckpt_dir / 'ddpm.qldm'}",
+                     "--set", "n_per_class=1", "--set", "steps=2"]) == 0
+        return [p.read_bytes()
+                for p in sorted((out / "samples" / "a0").iterdir())]
+
+    assert sample(tmp_path / "old", tmp_path) \
+        == sample(tmp_path / "new", pipeline)
+
+
+def test_sample_rejects_a_vae_as_the_denoiser(pipeline, tmp_path, capsys):
+    vae = pipeline / "vae.qldm"
+    code = main(["sample", "--out", str(tmp_path),
+                 "--set", f"vae_checkpoint={vae}",
+                 "--set", f"ddpm_checkpoint={vae}"])
+    assert code == 1
+    assert "expected 'unet'" in capsys.readouterr().err
+
+
 def test_sample_gate_noise_applies_at_alpha_zero(pipeline, tmp_path):
     # a quantum denoiser whose output maps are far from zero, so the
     # quantum path visibly moves the images
     echo = dict(load_checkpoint(pipeline / "ddpm.qldm").config,
                 quantum=True, q_qubits=2, q_layers=1)
-    names = {f.name for f in dataclasses.fields(UNetConfig)}
-    values = {k: v for k, v in echo.items() if k in names}
-    config = UNetConfig(**dict(values, q_kind=AnsatzKind(values["q_kind"])))
+    config = config_from_echo(UNetConfig, echo)
     unet = UNet(config, seed=0)
     rng = np.random.default_rng(0)
     for module in unet.iter_modules():
