@@ -247,20 +247,17 @@ class QuantumLayer(Module):
         """Exact per-qubit <Z> for a batch of encoder angle rows."""
         theta = self.theta
         template = self._template
-        n = self.n_qubits
-        batch = angles.data.shape[0]
-        full = np.concatenate(
-            [angles.data,
-             np.broadcast_to(theta.data, (batch, theta.size))], axis=1)
-        amps = run_circuit_batch(template, full)
-        z = pauli_z_expectations_batch(amps, n)
+        shared = theta.data.copy()
+        amps = run_circuit_batch(template, angles.data, shared=shared)
+        z = pauli_z_expectations_batch(amps, self.n_qubits)
 
         def backward():
-            dfull = adjoint_z_gradients(template, full, amps, out.grad)
+            dangles, dtheta = adjoint_z_gradients(
+                template, angles.data, amps, out.grad, shared=shared)
             if angles.requires_grad:
-                angles._accumulate(dfull[:, :n])
+                angles._accumulate(dangles)
             if theta.requires_grad:
-                theta._accumulate(dfull[:, n:].sum(axis=0))
+                theta._accumulate(dtheta)
 
         out = Tensor._from_op(z, (angles, theta), backward)
         return out
@@ -281,13 +278,9 @@ class QuantumLayer(Module):
         when readout noise is present).  Inference only: the result
         carries no gradient graph.
         """
-        angles = self.pre_map(x).data
-        theta = self.theta.data
-        full = np.concatenate(
-            [angles, np.broadcast_to(theta, (angles.shape[0], theta.size))],
-            axis=1)
-        counts = sample_noisy_counts(self._template, full, noise, shots,
-                                     np.random.default_rng(seed))
+        counts = sample_noisy_counts(self._template, self.pre_map(x).data,
+                                     noise, shots, np.random.default_rng(seed),
+                                     shared=self.theta.data)
         probs = counts / shots
         if mitigate and noise.readout_alpha > 0:
             probs = mitigate_probabilities(

@@ -160,16 +160,19 @@ def _flip_readout(counts: np.ndarray, alpha: float,
 
 
 def sample_noisy_counts(circuit: Circuit, params, noise: NoiseModel,
-                        shots: int, rng: np.random.Generator) -> np.ndarray:
+                        shots: int, rng: np.random.Generator,
+                        shared=None) -> np.ndarray:
     """Integer shot counts over basis indices, one row per params row.
 
-    ``params`` has shape (k, n_params); returns (k, 2**n) counts, each row
-    summing to ``shots``.  Every row's shots are split as evenly as
-    possible across ``noise.trajectories`` independent Pauli trajectories,
-    the leftover shots going to the first trajectories, and all k x T
-    trajectories run as one batch.  Without gate noise every trajectory
-    is the same state, so each row is simulated once and sampled with all
-    its shots, which has the same law.  Readout flips come last.
+    ``params`` has shape (k, n_params - S) and ``shared`` (length S)
+    binds the last slots for every row, as in ``run_circuit_batch``;
+    returns (k, 2**n) counts, each row summing to ``shots``.  Every row's
+    shots are split as evenly as possible across ``noise.trajectories``
+    independent Pauli trajectories, the leftover shots going to the
+    first trajectories, and all k x T trajectories run as one batch.
+    Without gate noise every trajectory is the same state, so each row is
+    simulated once and sampled with all its shots, which has the same
+    law.  Readout flips come last.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -179,13 +182,14 @@ def sample_noisy_counts(circuit: Circuit, params, noise: NoiseModel,
     params = np.asarray(params, dtype=np.float64)
     k = params.shape[0]
     if noise.p1 == 0.0 and noise.p2 == 0.0:
-        amps = run_circuit_batch(circuit, params)
+        amps = run_circuit_batch(circuit, params, shared=shared)
         n_shots = shots
     else:
         t = noise.trajectories
         rows = np.repeat(params, t, axis=0)
         amps = run_circuit_batch(circuit, rows,
-                                 _draw_paulis(circuit, noise, k * t, rng))
+                                 _draw_paulis(circuit, noise, k * t, rng),
+                                 shared=shared)
         base, extra = divmod(shots, t)
         n_shots = np.tile(base + (np.arange(t) < extra), k)
     probs = np.abs(amps) ** 2

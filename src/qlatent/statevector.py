@@ -5,17 +5,24 @@ bit of the basis-state index, so basis state ``i`` assigns bit
 ``(i >> q) & 1`` to qubit ``q``.  Bitstrings are written with qubit 0 as
 the first character ("10" means qubit0=1, qubit1=0).
 
-One kernel serves exact, Pauli-trajectory, adjoint and single-state runs
-on a rows-last (2**n, k) state, so each elementwise op runs contiguously
-over at least the k rows.  It updates the state in place: a one-qubit
-gate through one scratch array, CNOT and SWAP as quarter swaps, CZ as a
-sign flip.  A circuit of only RY, CNOT, CZ and SWAP, run without Pauli
-codes, stays in float64.  Callers see (k, 2**n) complex128 amplitudes.
+A circuit compiles once into a plan (gate fusion as in qsim, Isakov et
+al. 2021), cached by structure, that serves exact, Pauli-trajectory and
+adjoint runs on a rows-last (2**n, k) state, so each op runs
+contiguously over at least the k rows.  Its stages: a closed-form
+product state from each qubit's first gate; runs of one-qubit gates with
+the same angles in every row (fixed or ``shared``) as Kronecker blocks
+on up to four adjacent qubits, one matmul each; gates with per-row
+angles one at a time; each CNOT/CZ/SWAP run as one index gather and
+sign mask.  A circuit of only RY, CNOT, CZ and SWAP, run without
+Pauli codes, stays in float64.  Callers see (k, 2**n) complex128
+amplitudes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -141,7 +148,7 @@ def init_zero_state(n_qubits: int) -> StateVector:
 
 
 def _ry(theta) -> np.ndarray:
-    """RY matrices, real, shape (2, 2, k) for a length-k angle array."""
+    """RY matrices, real, shape (2, 2) + theta.shape."""
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return np.array([[c, -s], [s, c]])
@@ -149,18 +156,18 @@ def _ry(theta) -> np.ndarray:
 
 def _rz(theta) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    zero = np.zeros(theta.size)
+    zero = np.zeros_like(theta)
     return np.array([[np.exp(-0.5j * theta), zero],
                      [zero, np.exp(0.5j * theta)]])
 
 
 def _u3(theta, phi, lam) -> np.ndarray:
-    """U3 matrices; a length-1 angle array broadcasts against length k."""
+    """U3 matrices, shape (2, 2) + the broadcast shape of the angles."""
     theta, phi, lam = (np.atleast_1d(np.asarray(a, dtype=np.float64))
                        for a in (theta, phi, lam))
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.empty((2, 2, max(theta.size, phi.size, lam.size)),
-                 dtype=np.complex128)
+    m = np.empty((2, 2) + np.broadcast_shapes(theta.shape, phi.shape,
+                                              lam.shape), dtype=np.complex128)
     m[0, 0] = c
     m[0, 1] = -np.exp(1j * lam) * s
     m[1, 0] = np.exp(1j * phi) * s
@@ -178,16 +185,20 @@ _PAULI_STACK = np.stack([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
                          np.diag([1, -1])], axis=2).astype(np.complex128)
 _PAULIS = {p: _PAULI_STACK[:, :, [c]] for c, p in enumerate("XYZ", 1)}
 
+# Widest fused block: one 2**4 x 2**4 matrix on four adjacent qubits.
+_FUSE_QUBITS = 4
+
 
 def _apply_1q(psi: np.ndarray, tmp: np.ndarray, qubit: int,
               mats: np.ndarray) -> None:
     """Apply (2, 2, k|1) per-row matrices to one qubit of ``psi``, in place.
 
-    ``psi`` is a rows-last (2**n, k) state and ``tmp`` scratch like it.
-    Half a becomes mats[a, 0] * x0 + mats[a, 1] * x1, products in that
-    operand order, so results match the dense formula bit for bit.
+    ``psi`` is a rows-last (..., 2**n, k) state and ``tmp`` scratch like
+    it.  Half a becomes mats[a, 0] * x0 + mats[a, 1] * x1, products in
+    that operand order, so results match the dense formula bit for bit.
     """
-    shape = (psi.shape[0] >> (qubit + 1), 2, 1 << qubit, psi.shape[1])
+    shape = (psi.size // psi.shape[-1] >> (qubit + 1), 2, 1 << qubit,
+             psi.shape[-1])
     x, t = psi.reshape(shape), tmp.reshape(shape)
     x0, x1, t0, t1 = x[:, 0], x[:, 1], t[:, 0], t[:, 1]
     np.multiply(mats[0, 1], x1, out=t0)
@@ -198,54 +209,139 @@ def _apply_1q(psi: np.ndarray, tmp: np.ndarray, qubit: int,
     x1 += t1
 
 
-def _apply_2q(psi: np.ndarray, tmp: np.ndarray, kind: str,
-              targets: tuple[int, int]) -> None:
-    """CNOT, CZ or SWAP on a rows-last state, in place, as a permutation.
+def _apply_block(psi, tmp, lo: int, w: int, mat: np.ndarray):
+    """A 2**w x 2**w matrix on qubits lo..lo+w-1; returns (psi, tmp)."""
+    if w == 1:
+        _apply_1q(psi, tmp, lo, mat[:, :, None])
+        return psi, tmp
+    shape = (psi.size // psi.shape[-1] >> (lo + w), 1 << w, -1)
+    np.matmul(mat, psi.reshape(shape), out=tmp.reshape(shape))
+    return tmp, psi
 
-    CNOT (control targets[0]) swaps the quarters where the control is 1,
-    SWAP swaps the |01> and |10> quarters, and CZ negates |11>.
+
+def _apply_perm(psi, tmp, perm, neg):
+    """psi[i] <- +-psi[perm[i]], minus where ``neg`` (either may be None);
+    returns (psi, tmp)."""
+    if perm is not None:
+        np.take(psi, perm, axis=0, out=tmp, mode="clip")
+        psi, tmp = tmp, psi
+    if neg is not None:
+        np.negative(psi, out=psi, where=neg[:, None])
+    return psi, tmp
+
+
+def _permutation(n: int, gates) -> tuple:
+    """(perm, neg) of a run of CNOT/CZ/SWAP for ``_apply_perm``: int32
+    sources and a boolean sign mask, None for the identity and no signs."""
+    idx = np.arange(1 << n, dtype=np.int32)
+    perm, neg = idx, np.zeros(1 << n, dtype=bool)
+    for kind, (a, b) in gates:  # CNOT: control a; CZ negates |11>
+        bit_a, bit_b = idx >> a & 1, idx >> b & 1
+        src = idx ^ {"CNOT": bit_a << b, "CZ": 0,
+                     "SWAP": (bit_a ^ bit_b) * (1 << a | 1 << b)}[kind]
+        perm, neg = perm[src], neg[src] ^ (kind == "CZ") & (bit_a & bit_b == 1)
+    return (None if np.array_equal(perm, idx) else perm,
+            neg if neg.any() else None)
+
+
+def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
+    """Compile ops given as (kind, targets) pairs into a plan of stages.
+
+    One-qubit op g is 'uni' when no per-row slot binds an angle of it, so
+    its angles are the same for every row (the last ``n_shared`` slots
+    are shared).  Angles index [params columns; vals] for row ops and
+    vals = [shared; fixed angles] for uni ops.  Each qubit's first op
+    before any two-qubit gate or Pauli code goes into the product state;
+    then uni runs become blocks, row ops stay single, CNOT/CZ/SWAP runs
+    become permutations, and Pauli codes follow the ops in ``breaks``.
     """
-    hi, lo = max(targets), min(targets)
-    x = psi.reshape(psi.shape[0] >> (hi + 1), 2, 1 << (hi - lo - 1), 2,
-                    1 << lo, psi.shape[1])
+    p = SimpleNamespace(n_row=len(slots) - n_shared, blocks=[], stages=[])
+    p.dtype = np.float64 if not breaks and all(
+        kind in _REAL_KINDS for kind, _ in structure) else np.complex128
+    slot_of = {pos: s for s, pos in enumerate(slots)}
+    p.fixed = [(i, a) for i, (kind, _) in enumerate(structure)
+               for a in range(GATE_PARAM_COUNTS[kind]) if (i, a) not in slot_of]
+    slot_of.update({pos: len(slots) + j for j, pos in enumerate(p.fixed)})
+    place, kinds = {}, {}  # op -> (g, uni); (kind, uni) -> (gs, sources)
+    for i, (kind, _) in enumerate(structure):
+        src = [slot_of[i, a] for a in range(GATE_PARAM_COUNTS[kind])]
+        if src:
+            place[i] = g, uni = len(place), min(src) >= p.n_row
+            gs, idx = kinds.setdefault((kind, uni), ([], []))
+            gs.append(g)
+            idx.append([s - p.n_row * uni for s in src])
+    p.size = len(place)
+    p.kinds = [key + (np.array(gs), np.array(idx))
+               for key, (gs, idx) in kinds.items()]
+    p.row_vals = any(idx.max() >= p.n_row for _, uni, _, idx in p.kinds
+                     if not uni)
+    p.slot_at = tuple(np.array([(place[i][0], a) for i, a in slots],
+                               dtype=np.intp).reshape(-1, 2).T)
+    p.product = []  # (qubit, op) for the leading first op of each qubit
+    for i, (kind, targets) in enumerate(structure):
+        if kind in TWO_QUBIT_GATES or i in breaks or targets[0] in dict(
+                p.product):
+            break
+        p.product.append((targets[0], place[i][0]))
+    factors, run, twos = [], [], []  # factor: uni ops on one block qubit
 
-    def quarter(arr, bit0, bit1):  # bit0 on targets[0], bit1 on targets[1]
-        bits = {targets[0]: bit0, targets[1]: bit1}
-        return arr[:, bits[hi], :, bits[lo]]
+    def flush():
+        if twos:
+            p.stages.append(("perm",) + _permutation(
+                n, [structure[i] for i in twos]))
+        by_q = {}
+        for i in run:
+            by_q.setdefault(structure[i][1][0], []).append(place[i][0])
+        qs = sorted(by_q)
+        while qs:
+            lo = qs[0]
+            w = max(q for q in qs if q < lo + _FUSE_QUBITS) - lo + 1
+            p.stages.append(("block", len(p.blocks)))
+            p.blocks.append((lo, w, np.arange(len(factors),
+                                              len(factors) + w)))
+            factors.extend(by_q.get(q, []) for q in range(lo, lo + w))
+            qs = [q for q in qs if q >= lo + w]
+        twos.clear()
+        run.clear()
 
-    if kind == "CZ":
-        q11 = quarter(x, 1, 1)
-        np.negative(q11, out=q11)
-        return
-    pair = ((1, 0), (1, 1)) if kind == "CNOT" else ((0, 1), (1, 0))
-    u, v = quarter(x, *pair[0]), quarter(x, *pair[1])
-    t = quarter(tmp.reshape(x.shape), *pair[0])
-    np.copyto(t, u)
-    np.copyto(u, v)
-    np.copyto(v, t)
+    for i in range(len(p.product), len(structure)):
+        kind, targets = structure[i]
+        two = kind in TWO_QUBIT_GATES
+        if (two and run) or (twos and not two):
+            flush()
+        if two:
+            twos.append(i)
+        elif place[i][1]:
+            run.append(i)
+        else:
+            flush()
+            p.stages.append(("row", targets[0], place[i][0]))
+        if i in breaks:
+            flush()
+            p.stages.append(("pauli", i))
+    flush()
+    # the d-th op of every factor is composed in step d of depths
+    p.n_factors, p.factor_of = len(factors), np.full(p.size, len(factors))
+    for f, gs in enumerate(factors):
+        p.factor_of[gs] = f
+    p.depths = [tuple(np.array(v, dtype=np.intp) for v in zip(*[
+        (f, gs[d]) for f, gs in enumerate(factors) if len(gs) > d]))
+        for d in range(max(map(len, factors), default=0))]
+    p.sandwiched = np.array([g for gs in factors for g in gs[1:]], dtype=np.intp)
+    by_w = {}
+    for b, (_, w, fidx) in enumerate(p.blocks):
+        by_w.setdefault(w, []).append((b, fidx))
+    p.krons = [(w,) + tuple(map(np.array, zip(*bs))) for w, bs in by_w.items()]
+    return p
 
 
-def _apply_op(psi: np.ndarray, tmp: np.ndarray, op: GateOp, angles) -> None:
-    """One gate on a rows-last state, at per-row or fixed ``angles``."""
-    if op.kind in TWO_QUBIT_GATES:
-        _apply_2q(psi, tmp, op.kind, op.targets)
-    else:
-        _apply_1q(psi, tmp, op.targets[0], _gate_matrices(op.kind, angles))
-
-
-def _bind_angles(circuit: Circuit, params: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Map (op_idx, angle_idx) -> per-batch angle column for trainable slots."""
-    return {pos: params[:, s] for s, pos in enumerate(circuit.param_slots)}
-
-
-def _op_angles(op: GateOp, op_idx: int, bound) -> list[np.ndarray]:
-    """Angle columns of one op: bound trainable columns, else fixed (1,)."""
-    return [bound.get((op_idx, a), np.full(1, fixed))
-            for a, fixed in enumerate(op.params)]
+# Plans of exact runs are reused; runs with Pauli codes compile afresh,
+# because each trajectory batch breaks its runs at other ops.
+_plan = functools.lru_cache(maxsize=64)(_compile)
 
 
 def _gate_matrices(kind: str, angles) -> np.ndarray:
-    """(2, 2, k|1) matrices of a one-qubit gate for per-row angle columns."""
+    """(2, 2) + angle-shape matrices of a one-qubit gate kind."""
     if kind == "RY":
         return _ry(angles[0])
     if kind == "RZ":
@@ -253,68 +349,124 @@ def _gate_matrices(kind: str, angles) -> np.ndarray:
     return _u3(*angles)
 
 
-def _check_params(circuit: Circuit, params) -> np.ndarray:
+def _prepare(circuit: Circuit, params, shared, breaks=frozenset()):
+    """The circuit's plan, k, the (2, 2, G, k) matrices of its one-qubit
+    ops, their angles per ``plan.kinds`` entry, the block matrices, and
+    per op the product V of the ops before it on its block qubit."""
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 2 or params.shape[1] != circuit.n_params:
+    shared = np.zeros(0) if shared is None else np.asarray(
+        shared, dtype=np.float64).ravel()
+    if params.ndim != 2 or params.shape[1] + shared.size != circuit.n_params:
         raise SimulationError(
-            f"params shape {params.shape} does not match "
-            f"{circuit.n_params} trainable slots")
-    return params
+            f"params shape {params.shape} and {shared.size} shared values "
+            f"do not match {circuit.n_params} trainable slots")
+    key = (circuit.n_qubits, tuple((op.kind, op.targets) for op in circuit.ops),
+           tuple(circuit.param_slots), shared.size, breaks)
+    plan = _compile(*key) if breaks else _plan(*key)
+    vals = np.concatenate(
+        [shared, [circuit.ops[i].params[a] for i, a in plan.fixed]])
+    k = params.shape[0]
+    rows = params.T if not plan.row_vals else np.concatenate(
+        [params.T, np.broadcast_to(vals[:, None], (vals.size, k))])
+    mats, angles = np.empty((2, 2, plan.size, k), plan.dtype), []
+    for kind, uni, gs, idx in plan.kinds:  # uni ops: (G, 1) angle columns
+        angles.append([(vals[:, None] if uni else rows)[c] for c in idx.T])
+        mats[:, :, gs] = _gate_matrices(kind, angles[-1])
+    u = mats[..., 0].transpose(2, 0, 1)
+    factor = np.empty((plan.n_factors, 2, 2), plan.dtype)
+    before = np.empty(u.shape, plan.dtype)
+    factor[:], before[:] = np.eye(2), np.eye(2)
+    for fsel, gsel in plan.depths:
+        before[gsel] = factor[fsel]
+        factor[fsel] = u[gsel] @ factor[fsel]
+    blocks = [None] * len(plan.blocks)
+    for w, bs, fidx in plan.krons:  # kron(factor[w-1], ..., factor[0])
+        f = factor[fidx]
+        m = f[:, w - 1]
+        for i in range(w - 2, -1, -1):
+            m = (m[:, :, None, :, None] * f[:, i, None, :, None, :]).reshape(
+                len(bs), 2 ** (w - i), -1)
+        for b, mb in zip(bs, m):
+            blocks[b] = mb
+    return plan, k, mats, angles, blocks, before
 
 
 def run_circuit_batch(circuit: Circuit, params: np.ndarray,
-                      paulis: dict | None = None) -> np.ndarray:
+                      paulis: dict | None = None,
+                      shared: np.ndarray | None = None) -> np.ndarray:
     """Run the circuit on |0...0> for each row of ``params``.
 
-    ``params`` has shape (k, n_params); returns (k, 2**n_qubits) complex
-    amplitudes.  All rows share the gate sequence and only trainable
-    angles differ, so the batch runs as one rows-last state.
+    ``params`` (k, n_params - S) binds the first slots per row and
+    ``shared`` (length S) the last S slots for every row.  Returns (k,
+    2**n_qubits) complex amplitudes.  The rows run as one rows-last
+    state through the circuit's compiled plan.
 
     ``paulis`` optionally maps an op index to ``(qubit, codes)`` pairs:
     right after that op, row b gets the Pauli ``codes[b]`` (0 = I,
     1..3 = X/Y/Z) on ``qubit``.  This is how noise trajectories insert
     their Pauli errors.
     """
-    params = _check_params(circuit, params)
     paulis = paulis or {}
-    real = not paulis and all(op.kind in _REAL_KINDS for op in circuit.ops)
-    psi = np.zeros((2 ** circuit.n_qubits, params.shape[0]),
-                   dtype=np.float64 if real else np.complex128)
+    plan, k, mats, _, blocks, _ = _prepare(circuit, params, shared,
+                                           frozenset(paulis))
+    first = {q: mats[:, 0, g] for q, g in plan.product}
+    psi = np.empty((2 ** circuit.n_qubits, k), plan.dtype)
     psi[0] = 1.0
+    for q in range(circuit.n_qubits):  # in place, into rows 2**q..2**(q+1)
+        v = first.get(q, ((1.0,), (0.0,)))
+        np.multiply(psi[:1 << q], v[1], out=psi[1 << q:2 << q])
+        psi[:1 << q] *= v[0]
     tmp = np.empty_like(psi)
-    bound = _bind_angles(circuit, params)
-    for i, op in enumerate(circuit.ops):
-        _apply_op(psi, tmp, op, _op_angles(op, i, bound))
-        for q, codes in paulis.get(i, ()):
-            _apply_1q(psi, tmp, q, _PAULI_STACK[:, :, codes])
+    for stage in plan.stages:
+        if stage[0] == "block":
+            lo, w, _ = plan.blocks[stage[1]]
+            psi, tmp = _apply_block(psi, tmp, lo, w, blocks[stage[1]])
+        elif stage[0] == "row":
+            _apply_1q(psi, tmp, stage[1], mats[:, :, stage[2]])
+        elif stage[0] == "perm":
+            psi, tmp = _apply_perm(psi, tmp, *stage[1:])
+        else:
+            for q, codes in paulis[stage[1]]:
+                _apply_1q(psi, tmp, q, _PAULI_STACK[:, :, codes])
+    del tmp  # so the transposed copy below does not raise peak memory
     return np.ascontiguousarray(psi.T, dtype=np.complex128)
 
 
+@functools.lru_cache(maxsize=8)
 def _z_signs(n_qubits: int) -> np.ndarray:
     """(2**n, n) eigenvalues of each Z_q on the basis states: +1 or -1."""
     idx = np.arange(2 ** n_qubits)[:, None]
-    return 1.0 - 2.0 * ((idx >> np.arange(n_qubits)) & 1)
+    signs = 1.0 - 2.0 * ((idx >> np.arange(n_qubits)) & 1)
+    signs.flags.writeable = False
+    return signs
 
 
-def _pair_overlaps(bra: np.ndarray, ket: np.ndarray,
-                   qubit: int) -> np.ndarray:
-    """M[b, x, y] = sum over the other qubits of conj(bra[x, b]) ket[y, b].
+@functools.lru_cache(maxsize=None)
+def _partial_traces(w: int) -> np.ndarray:
+    """(4 w, 4**w) map from a 2**w-square overlap on w qubits to the 2x2
+    partial trace over the others of each qubit i, at rows 4 i .. 4 i + 3."""
+    x, y = np.indices((1 << w, 1 << w))
+    return np.concatenate([
+        (2 * (x >> i & 1) + (y >> i & 1) == np.arange(4)[:, None, None])
+        & ((x ^ y) | 1 << i == 1 << i) for i in range(w)]).reshape(
+        4 * w, -1).astype(np.float64)
 
-    For rows-last (2**n, k) ``bra`` and ``ket``; with M, <bra|D|ket> for
-    any 2x2 D on ``qubit`` is sum(D * M) for each row.
-    """
-    shape = (bra.shape[0] >> (qubit + 1), 2, 1 << qubit, bra.shape[1])
-    return np.einsum("oxik,oyik->kxy", bra.conj().reshape(shape),
-                     ket.reshape(shape))
+
+def _row_overlaps(state: np.ndarray, qubit: int) -> np.ndarray:
+    """(k, 2, 2) M[b, x, y] = sum of conj(lambda[x]) phi[y] over the other
+    qubits, for the stacked state [lambda; phi] of shape (2, 2**n, k)."""
+    lam, phi = state.reshape(2, -1, 2, 1 << qubit, state.shape[-1])
+    return np.einsum("oxik,oyik->kxy", lam.conj(), phi)
 
 
 def _adjoint_derivatives(kind: str, angles, m: np.ndarray) -> list:
-    """2 Re sum(D * m) per angle, m = ``_pair_overlaps(lambda', phi')``.
+    """2 Re sum(D * m) per angle, m the (..., 2, 2) overlaps after U^dag.
 
     D = U^dag dU in closed form: -iY/2 (RY), -iZ/2 (RZ); for U3 theta,
     phi, lam: Rz(-lam)(-iY/2)Rz(lam), i U^dag P1 U and i P1, P1 = |1><1|.
+    The angles broadcast against the leading axes of ``m``.
     """
-    m00, m01, m10, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     if kind == "RY":
         return [np.real(m10 - m01)]
     if kind == "RZ":
@@ -329,55 +481,73 @@ def _adjoint_derivatives(kind: str, angles, m: np.ndarray) -> list:
 
 
 def adjoint_z_gradients(circuit: Circuit, params: np.ndarray,
-                        amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+                        amps: np.ndarray, weights: np.ndarray,
+                        shared: np.ndarray | None = None):
     """Gradient of sum_q weights[b, q] <Z_q> for every row and every slot.
 
-    ``amps`` must be ``run_circuit_batch(circuit, params)``; ``weights``
-    has shape (k, n_qubits).  Returns (k, n_params).  This is the adjoint
-    method (Jones & Gacon 2020, arXiv:2009.02823).  Each row's observable
-    H_b = sum_q weights[b, q] Z_q is diagonal.  Starting from phi = psi
-    and lambda = H_b psi, one reverse sweep over the gates sets
-    phi <- U^dag phi, reads 2 Re <lambda|dU|phi> for each slot on U, and
-    sets lambda <- U^dag lambda.  Fixed angles produce no gradient.
+    ``amps`` must be ``run_circuit_batch(circuit, params, shared=shared)``
+    and ``weights`` has shape (k, n_qubits).  Returns (k, n_params), or
+    with ``shared`` the pair of per-row slot gradients (k, n_params - S)
+    and shared slot gradients (S,) summed over the rows.  This is the
+    adjoint method (Jones & Gacon 2020, arXiv:2009.02823) for the
+    diagonal H_b = sum_q weights[b, q] Z_q: from phi = psi and lambda =
+    H_b psi, one reverse sweep over the plan applies U^dag to both and
+    reads 2 Re <lambda|dU|phi> per slot from 2x2 overlaps.
     """
-    params = _check_params(circuit, params)
+    plan, k, mats, angles, blocks, before = _prepare(circuit, params, shared)
     n = circuit.n_qubits
-    k = params.shape[0]
     weights = np.asarray(weights, dtype=np.float64)
     if amps.shape != (k, 2 ** n) or weights.shape != (k, n):
         raise SimulationError(
             f"amps {amps.shape} / weights {weights.shape} do not match "
             f"{k} rows on {n} qubits")
-    if all(op.kind in _REAL_KINDS for op in circuit.ops):
-        amps = amps.real
-    bound = _bind_angles(circuit, params)
-    slots_of = {}
-    for s, (op_idx, angle_idx) in enumerate(circuit.param_slots):
-        slots_of.setdefault(op_idx, []).append((angle_idx, s))
-    grads = np.zeros((k, circuit.n_params))
-    # columns [:k] hold lambda and columns [k:] hold phi, so one apply
-    # moves both
-    state = np.concatenate([(weights @ _z_signs(n).T) * amps, amps]).T.copy()
+    # state[0] holds lambda and state[1] phi, so one apply moves both
+    state = np.empty((2, 2 ** n, k), plan.dtype)
+    state[1] = amps.T if plan.dtype == np.complex128 else amps.real.T
+    np.multiply(_z_signs(n) @ weights.T, state[1], out=state[0])
     tmp = np.empty_like(state)
-    for i in range(len(circuit.ops) - 1, -1, -1):
-        op = circuit.ops[i]
-        if op.kind in TWO_QUBIT_GATES:  # CNOT, CZ and SWAP are self-inverse
-            _apply_2q(state, tmp, op.kind, op.targets)
-            continue
-        q = op.targets[0]
-        angles = _op_angles(op, i, bound)
-        mats = _gate_matrices(op.kind, angles)
-        adj = mats.conj().transpose(1, 0, 2)
-        _apply_1q(state, tmp, q, np.concatenate([adj, adj], axis=2)
-                  if adj.shape[2] > 1 else adj)
-        if i not in slots_of:
-            continue
-        # After the step <lambda|dU|phi> = <lambda'|U^dag dU|phi'>.
-        derivs = _adjoint_derivatives(
-            op.kind, angles, _pair_overlaps(state[:, :k], state[:, k:], q))
-        for a, s in slots_of[i]:
-            grads[:, s] = derivs[a]
-    return grads
+    # overlaps M after U^dag: per op and row, per block factor row-summed
+    ms = np.zeros((plan.size, k, 2, 2), complex)
+    m_factor = np.zeros((plan.n_factors + 1, 2, 2), complex)
+    for stage in reversed(plan.stages):
+        if stage[0] == "block":
+            lo, w, fidx = plan.blocks[stage[1]]
+            state, tmp = _apply_block(state, tmp, lo, w,
+                                      blocks[stage[1]].conj().T)
+            lam, phi = state.reshape(2, -1, 1 << w, k << lo)
+            overlap = (lam.conj() @ phi.transpose(0, 2, 1)).sum(axis=0)
+            m_factor[fidx] = (_partial_traces(w) @ overlap.ravel()).reshape(
+                w, 2, 2)
+        elif stage[0] == "row":
+            _apply_1q(state, tmp, stage[1],
+                      mats[:, :, stage[2]].conj().transpose(1, 0, 2))
+            ms[stage[2]] = _row_overlaps(state, stage[1])
+        else:  # undo psi[i] <- +-psi[perm[i]]
+            if stage[2] is not None:
+                np.negative(state, out=state, where=stage[2][:, None])
+            if stage[1] is not None:
+                tmp[:, stage[1]] = state
+                state, tmp = tmp, state
+    ms[:, 0] += m_factor[plan.factor_of]  # a block's ops: in row 0 only
+    # op j on a qubit of a block has W^dag dW = V^dag D V, V = ops before j
+    v = before[plan.sandwiched]
+    ms[plan.sandwiched, 0] = v.conj() @ ms[plan.sandwiched, 0] @ v.transpose(
+        0, 2, 1)
+    # each qubit's first op acts on |0>: with M the overlap at the product
+    # state, its <lambda|dU U^dag|phi> is sum(D * U^T M conj(U))
+    if plan.product:
+        qs, gs = map(list, zip(*plan.product))
+        u = mats[:, :, gs]
+        ms[gs] = np.einsum("yxgk,gkyz,zwgk->gkxw", u, np.stack(
+            [_row_overlaps(state, q) for q in qs]), u.conj())
+    derivs = np.zeros((plan.size, 3, k))
+    for (kind, _, gs, _), kind_angles in zip(plan.kinds, angles):
+        for a, v in enumerate(_adjoint_derivatives(kind, kind_angles, ms[gs])):
+            derivs[gs, a] = v
+    grads = derivs[plan.slot_at]
+    if shared is None:
+        return grads.T
+    return grads[:plan.n_row].T, grads[plan.n_row:].sum(axis=1)
 
 
 def run_circuit(circuit: Circuit, params=()) -> StateVector:
@@ -414,7 +584,12 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
             raise SimulationError(
                 f"target {q} out of range for {state.n_qubits} qubits")
     psi = state.amplitudes.reshape(-1, 1).copy()
-    _apply_op(psi, np.empty_like(psi), op, op.params)
+    tmp = np.empty_like(psi)
+    if op.kind in TWO_QUBIT_GATES:
+        psi, _ = _apply_perm(psi, tmp, *_permutation(
+            state.n_qubits, [(op.kind, op.targets)]))
+    else:
+        _apply_1q(psi, tmp, op.targets[0], _gate_matrices(op.kind, op.params))
     return StateVector(state.n_qubits, psi[:, 0])
 
 
@@ -437,12 +612,12 @@ def pauli_z_expectations(state: StateVector) -> np.ndarray:
 
 def pauli_z_expectations_batch(batch: np.ndarray, n_qubits: int) -> np.ndarray:
     """<Z_q> per qubit for a (k, 2**n) amplitude batch; returns (k, n)."""
-    probs = np.abs(batch) ** 2
-    out = np.empty((batch.shape[0], n_qubits))
-    for q in range(n_qubits):
-        p = probs.reshape(batch.shape[0], -1, 2, 1 << q)
-        out[:, q] = (p[:, :, 0] - p[:, :, 1]).sum(axis=(1, 2))
-    return out
+    batch = np.asarray(batch)
+    if batch.ndim != 2 or batch.shape[1] != 2 ** n_qubits:
+        raise SimulationError(
+            f"batch shape {batch.shape} does not hold 2**{n_qubits} "
+            f"amplitudes per row")
+    return np.abs(batch) ** 2 @ _z_signs(n_qubits)
 
 
 def index_to_bitstring(index: int, n_qubits: int) -> str:

@@ -1,0 +1,286 @@
+"""Compiled circuit plans against the dense oracle and parameter shift.
+
+A plan runs a product state, fused blocks of same-angle one-qubit gates,
+one-qubit stages of per-row angles and permutation stages.  Every check
+here compares with ``tests/oracles.py`` matrices or shifted expectation
+values computed from them, never with the plan itself.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import dense_gate_unitary, dense_run, embed_one_qubit
+from qlatent import statevector
+from qlatent.ansatz import (
+    AnsatzKind,
+    AnsatzSpec,
+    build_ansatz,
+    build_trainable_encoder,
+    param_count,
+)
+from qlatent.layers import QuantumLayer
+from qlatent.noise import NoiseModel, sample_noisy
+from qlatent.statevector import (
+    Circuit,
+    GateOp,
+    adjoint_z_gradients,
+    bind_params,
+    pauli_z_expectations_batch,
+    run_circuit,
+    run_circuit_batch,
+)
+from qlatent.tensor import Tensor
+
+_PAULI_MATS = [np.eye(2), np.array([[0, 1], [1, 0]]),
+               np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+
+
+def _mixed_circuit(rng, n, n_gates):
+    """Random ops of the full gate set; each angle is a slot with prob 1/2.
+
+    U3 gates therefore come partly trainable, slots are listed in a random
+    order (so a shared/per-row split cuts across ops), and every fourth
+    one-qubit gate repeats the previous gate's qubit, so blocks carry two
+    or more gates on one qubit.
+    """
+    ops, q = [], 0
+    for g in range(n_gates):
+        if n > 1 and rng.random() < 0.35:
+            a, b = rng.choice(n, size=2, replace=False)
+            ops.append(GateOp(str(rng.choice(["CNOT", "CZ", "SWAP"])),
+                              (int(a), int(b))))
+            continue
+        kind = str(rng.choice(["RY", "RZ", "U3"]))
+        q = q if g % 4 == 3 else int(rng.integers(n))
+        ops.append(GateOp(kind, (q,), tuple(rng.uniform(
+            0, 2 * np.pi, 3 if kind == "U3" else 1))))
+    slots = [(i, a) for i, op in enumerate(ops) for a in range(len(op.params))
+             if rng.random() < 0.5]
+    return Circuit(n, ops, [slots[j] for j in rng.permutation(len(slots))])
+
+
+def _dense_z(circuit, full):
+    """<Z_q> of every row of full (k, n_params) from the dense oracle."""
+    n = circuit.n_qubits
+    signs = 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
+    return np.array([np.abs(dense_run(circuit, row)) ** 2 @ signs
+                     for row in full])
+
+
+def _dense_shift_gradients(circuit, full, weights):
+    """(k, n_params) d/dtheta of sum_q weights[b, q] <Z_q> by +-pi/2 shifts."""
+    grads = np.zeros(full.shape)
+    for s in range(circuit.n_params):
+        shift = np.zeros(circuit.n_params)
+        shift[s] = np.pi / 2
+        z = _dense_z(circuit, full + shift) - _dense_z(circuit, full - shift)
+        grads[:, s] = (z * weights).sum(axis=1) / 2
+    return grads
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("k", [1, 3])
+def test_plans_match_dense_oracle_and_parameter_shift(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    circuit = _mixed_circuit(rng, n, 14 + 3 * n)
+    n_shared = int(rng.integers(circuit.n_params + 1))
+    n_row = circuit.n_params - n_shared
+    full = rng.uniform(0, 2 * np.pi, (k, circuit.n_params))
+    full[:, n_row:] = full[0, n_row:]  # shared slots: one value per circuit
+    rows, shared = full[:, :n_row], full[0, n_row:]
+    amps = run_circuit_batch(circuit, rows, shared=shared)
+    for b in range(k):
+        np.testing.assert_allclose(amps[b], dense_run(circuit, full[b]),
+                                   rtol=0, atol=1e-12)
+    weights = rng.standard_normal((k, n))
+    want = _dense_shift_gradients(circuit, full, weights)
+    got_rows, got_shared = adjoint_z_gradients(circuit, rows, amps, weights,
+                                               shared=shared)
+    np.testing.assert_allclose(got_rows, want[:, :n_row], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got_shared, want[:, n_row:].sum(axis=0),
+                               rtol=0, atol=1e-10)
+
+
+def test_shared_slots_equal_the_same_angles_per_row():
+    rng = np.random.default_rng(7)
+    for n in (2, 4, 6):
+        circuit = _mixed_circuit(rng, n, 40)
+        n_row = circuit.n_params // 2
+        rows = rng.uniform(0, 2 * np.pi, (5, n_row))
+        shared = rng.uniform(0, 2 * np.pi, circuit.n_params - n_row)
+        full = np.hstack([rows, np.tile(shared, (5, 1))])
+        amps = run_circuit_batch(circuit, rows, shared=shared)
+        np.testing.assert_allclose(amps, run_circuit_batch(circuit, full),
+                                   rtol=0, atol=1e-12)
+        weights = rng.standard_normal((5, n))
+        per_row = adjoint_z_gradients(circuit, full, amps, weights)
+        got_rows, got_shared = adjoint_z_gradients(circuit, rows, amps,
+                                                   weights, shared=shared)
+        np.testing.assert_allclose(got_rows, per_row[:, :n_row],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_shared, per_row[:, n_row:].sum(axis=0),
+                                   rtol=0, atol=1e-12)
+
+
+def test_gates_on_one_qubit_in_a_block_need_the_sandwich():
+    # RZ, U3 and RY on qubit 1 fuse into one factor of one block; each
+    # angle's derivative sits between the gates before and after it
+    c = Circuit(3)
+    for q in range(3):
+        c.add("RY", (q,), (0.0,), trainable=True)
+    c.add("RZ", (1,), (0.0,), trainable=True)
+    c.add("U3", (1,), (0.0, 0.0, 0.0), trainable=True)
+    c.add("U3", (2,), (0.0, 0.0, 0.0), trainable=True)
+    c.add("RY", (1,), (0.0,), trainable=True)
+    c.add("CNOT", (1, 0))
+    c.add("CNOT", (2, 1))
+    rng = np.random.default_rng(11)
+    full = rng.uniform(0, 2 * np.pi, (2, c.n_params))
+    full[:, 3:] = full[0, 3:]
+    weights = rng.standard_normal((2, 3))
+    amps = run_circuit_batch(c, full[:, :3], shared=full[0, 3:])
+    rows, shared = adjoint_z_gradients(c, full[:, :3], amps, weights,
+                                       shared=full[0, 3:])
+    want = _dense_shift_gradients(c, full, weights)
+    np.testing.assert_allclose(rows, want[:, :3], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(shared, want[:, 3:].sum(axis=0),
+                               rtol=0, atol=1e-10)
+
+
+def test_pauli_code_inside_a_block_splits_it():
+    # fixed U3 gates on four adjacent qubits would fuse into one block; a
+    # Pauli code right after the gate on qubit 1 must land between them
+    rng = np.random.default_rng(5)
+    n, k = 5, 4
+    c = Circuit(n)
+    for q in range(n):
+        c.add("RY", (q,), (0.0,), trainable=True)
+    for q in range(4):
+        c.add("U3", (q,), tuple(rng.uniform(0, 2 * np.pi, 3)))
+    c.add("CZ", (0, 3))
+    c.add("RZ", (2,), (0.0,), trainable=True)
+    params = rng.uniform(0, 2 * np.pi, (k, c.n_params))
+    codes = np.array([1, 2, 3, 0])
+    paulis = {n + 1: [(1, codes)], n + 4: [(0, codes[::-1]), (3, codes)]}
+    got = run_circuit_batch(c, params, paulis)
+    for b in range(k):
+        want = dense_run(Circuit(n), ())
+        for i, op in enumerate(bind_params(c, params[b]).ops):
+            want = dense_gate_unitary(op.kind, op.targets, op.params, n) @ want
+            for q, cs in paulis.get(i, ()):
+                want = embed_one_qubit(_PAULI_MATS[cs[b]], q, n) @ want
+        np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-12)
+    # the same circuit without codes fuses the four U3 gates into one block
+    for breaks, blocks in ((frozenset(), [(0, 4)]),
+                           (frozenset(paulis), [(0, 2), (2, 2)])):
+        plan = statevector._compile(*_key(c, 0)[:4], breaks)
+        assert [plan.blocks[st[1]][:2] for st in plan.stages
+                if st[0] == "block"] == blocks
+
+
+def test_one_gate_per_qubit_runs_equal_the_unfused_kernel(monkeypatch,
+                                                          request):
+    # with blocks one qubit wide every shared gate is its own one-qubit
+    # stage, as before fusion; both plans must give the same state and
+    # gradients
+    request.addfinalizer(statevector._plan.cache_clear)
+    rng = np.random.default_rng(3)
+    layer = QuantumLayer(3, 3, AnsatzSpec(AnsatzKind.SE, 5, 2), rng)
+    angles = rng.uniform(-np.pi, np.pi, (4, 5))
+    weights = rng.standard_normal((4, 5))
+    theta = layer.theta.data
+
+    def run():
+        statevector._plan.cache_clear()
+        amps = run_circuit_batch(layer._template, angles, shared=theta)
+        return amps, adjoint_z_gradients(layer._template, angles, amps,
+                                         weights, shared=theta)
+
+    def widths():
+        plan = statevector._plan(*_key(layer._template, theta.size))
+        return {w for _, w, _ in plan.blocks}
+
+    fused, (d_rows, d_shared) = run()
+    assert widths() == {1, 4}  # the U3 layer on 5 qubits: 0..3, then 4
+    monkeypatch.setattr(statevector, "_FUSE_QUBITS", 1)
+    single, (s_rows, s_shared) = run()
+    assert widths() == {1}
+    np.testing.assert_allclose(fused, single, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(d_rows, s_rows, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d_shared, s_shared, rtol=0, atol=1e-12)
+    # and the one-qubit-wide plan equals gate-by-gate application
+    for b in range(4):
+        state = statevector.init_zero_state(5)
+        full = np.concatenate([angles[b], theta])
+        for op in bind_params(layer._template, full).ops:
+            state = statevector.apply_gate(state, op)
+        np.testing.assert_allclose(single[b], state.amplitudes,
+                                   rtol=0, atol=1e-13)
+
+
+def _key(circuit, n_shared):
+    return (circuit.n_qubits, tuple((op.kind, op.targets) for op in circuit.ops),
+            tuple(circuit.param_slots), n_shared, frozenset())
+
+
+def _shift_gradients(circuit, full, weights):
+    """Per-row parameter-shift gradients through the per-row kernel path."""
+    n, p = circuit.n_qubits, circuit.n_params
+    out = np.empty(full.shape)
+    for b, row in enumerate(full):
+        shifted = np.vstack([row + np.pi / 2 * np.eye(p),
+                             row - np.pi / 2 * np.eye(p)])
+        z = pauli_z_expectations_batch(run_circuit_batch(circuit, shifted), n)
+        out[b] = (z[:p] - z[p:]) @ weights[b] / 2
+    return out
+
+
+def test_benchmark_layer_shape_matches_parameter_shift():
+    # 6 qubits x 4 ESE2 layers at batch 16, as in ddpm_train_q6
+    rng = np.random.default_rng(16)
+    layer = QuantumLayer(8, 8, AnsatzSpec(AnsatzKind.ESE2, 6, 4), rng)
+    angles = Tensor(rng.uniform(-np.pi, np.pi, (16, 6)), requires_grad=True)
+    weights = rng.standard_normal((16, 6))
+    (layer.circuit_expectations(angles) * Tensor(weights)).sum().backward()
+    full = np.hstack([angles.data, np.tile(layer.theta.data, (16, 1))])
+    want = _shift_gradients(layer._template, full, weights)
+    np.testing.assert_allclose(angles.grad, want[:, :6], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(layer.theta.grad, want[:, 6:].sum(axis=0),
+                               rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", [AnsatzKind.S2D, AnsatzKind.BE])
+def test_real_templates_with_shared_angles_stay_real(kind):
+    rng = np.random.default_rng(21)
+    spec = AnsatzSpec(kind, 4, 3)
+    circuit = build_trainable_encoder(4).extended(
+        build_ansatz(spec, np.zeros(param_count(spec))))
+    angles = rng.uniform(-np.pi, np.pi, (3, 4))
+    theta = rng.uniform(0, 2 * np.pi, param_count(spec))
+    amps = run_circuit_batch(circuit, angles, shared=theta)
+    assert amps.dtype == np.complex128 and not amps.imag.any()
+    for b in range(3):
+        np.testing.assert_allclose(
+            amps[b], dense_run(circuit, np.concatenate([angles[b], theta])),
+            rtol=0, atol=1e-12)
+
+
+def test_plans_are_compiled_once_per_structure():
+    rng = np.random.default_rng(2)
+    statevector._plan.cache_clear()
+    layer = QuantumLayer(3, 3, AnsatzSpec(AnsatzKind.ESE2, 4, 2), rng)
+    for _ in range(2):
+        angles = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        layer.circuit_expectations(angles).sum().backward()
+    assert statevector._plan.cache_info().misses == 1
+    # circuits that differ only in fixed angle values share one plan
+    spec = AnsatzSpec(AnsatzKind.SE, 4, 2)
+    ansatz = build_ansatz(spec, np.zeros(param_count(spec)))
+    for _ in range(50):
+        run_circuit(bind_params(ansatz, rng.uniform(0, 2 * np.pi,
+                                                    ansatz.n_params)))
+    assert statevector._plan.cache_info().currsize == 2
+    # trajectory batches break runs at random ops and are not cached
+    sample_noisy(ansatz, rng.uniform(0, 2 * np.pi, ansatz.n_params),
+                 NoiseModel(p1=0.05, p2=0.05, trajectories=10), 100, seed=1)
+    assert statevector._plan.cache_info().currsize == 2

@@ -20,6 +20,7 @@ from qlatent.statevector import (
     index_to_bitstring,
     init_zero_state,
     pauli_z_expectations,
+    pauli_z_expectations_batch,
     reduced_density_matrix,
     run_circuit,
     run_circuit_batch,
@@ -276,6 +277,28 @@ def test_pauli_z_matches_dense_quadratic_form():
         signs = np.array([1.0 - 2.0 * ((i >> q) & 1) for i in range(16)])
         want = float(np.real(np.sum(signs * np.abs(psi) ** 2)))
         assert abs(got[q] - want) < 1e-12
+
+
+def test_pauli_z_batch_matches_dense_quadratic_form():
+    rng = np.random.default_rng(29)
+    batch = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
+    got = pauli_z_expectations_batch(batch, 5)
+    assert got.shape == (3, 5)
+    for b in range(3):
+        for q in range(5):
+            signs = np.array([1.0 - 2.0 * ((i >> q) & 1) for i in range(32)])
+            assert abs(got[b, q] - np.sum(signs * np.abs(batch[b]) ** 2)) < 1e-12
+
+
+def test_pauli_z_batch_rejects_a_width_other_than_two_to_the_n():
+    # a 4-qubit basis state with qubits 0 and 1 set, passed as 2 qubits
+    state = np.zeros((1, 16), dtype=np.complex128)
+    state[0, 0b0011] = 1.0
+    np.testing.assert_allclose(pauli_z_expectations_batch(state, 4),
+                               [[-1.0, -1.0, 1.0, 1.0]])
+    for n in (2, 5):
+        with pytest.raises(SimulationError):
+            pauli_z_expectations_batch(state, n)
 
 
 def test_bitstring_round_trip():
