@@ -32,7 +32,7 @@ from .statevector import (
     pauli_z_expectations_batch,
     run_circuit_batch,
 )
-from .tensor import Tensor, conv2d
+from .tensor import Tensor, conv2d, group_norm
 
 
 def trunc_normal(shape, rng: np.random.Generator, std: float = 0.02):
@@ -152,16 +152,7 @@ class GroupNorm(Module):
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        g = self.groups
-        grouped = x.reshape(n, g, (c // g) * h * w)
-        mean = grouped.mean(axis=2, keepdims=True)
-        centred = grouped - mean
-        var = (centred ** 2).mean(axis=2, keepdims=True)
-        normed = centred * (var + self.eps) ** -0.5
-        normed = normed.reshape(n, c, h, w)
-        return normed * self.gamma.reshape(1, c, 1, 1) \
-            + self.beta.reshape(1, c, 1, 1)
+        return group_norm(x, self.gamma, self.beta, self.groups, self.eps)
 
 
 class ResBlock(Module):

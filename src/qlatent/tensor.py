@@ -4,9 +4,9 @@ A ``Tensor`` wraps a float64 ndarray and records the operations applied
 to it; ``backward()`` on a scalar walks the recorded graph once in
 reverse topological order.  The op set is exactly what the models in
 this package need: broadcast arithmetic, matmul, reductions, a few
-pointwise nonlinearities, reshaping, convolution as a GEMM over
-strided-window columns, pooling, nearest-neighbour upsampling, and
-concatenation.
+pointwise nonlinearities, group normalization, reshaping, column-free
+convolution (one GEMM per kernel tap), pooling, nearest-neighbour
+upsampling, and concatenation.
 
 Gradients only flow into tensors created with ``requires_grad=True``
 and into results derived from them; everything else is treated as a
@@ -21,6 +21,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+_L2_BYTES = 1 << 21  # cache per core that conv2d sizes its column blocks to
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
@@ -42,6 +43,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))  # never overflows
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class Tensor:
@@ -234,7 +240,7 @@ class Tensor:
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         out = Tensor._from_op(out_data, (self,), backward)
         return out
@@ -307,9 +313,7 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        x = self.data
-        e = np.exp(-np.abs(x))  # never overflows
-        out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        out_data = _sigmoid(self.data)
 
         def backward():
             if self.requires_grad:
@@ -330,7 +334,16 @@ class Tensor:
 
     def silu(self):
         """x * sigmoid(x), the activation used throughout the models."""
-        return self * self.sigmoid()
+        sig = _sigmoid(self.data)
+        out_data = self.data * sig
+
+        def backward():
+            if self.requires_grad:
+                self._accumulate(
+                    out.grad * sig * (1.0 + self.data * (1.0 - sig)))
+
+        out = Tensor._from_op(out_data, (self,), backward)
+        return out
 
     def abs(self):
         out_data = np.abs(self.data)
@@ -346,60 +359,116 @@ class Tensor:
 # ---- structured ops ---------------------------------------------------
 
 
-def _im2col(x_pad: np.ndarray, kernel: int, stride: int, h_out: int,
-            w_out: int) -> np.ndarray:
-    """Columns ``(n, c*k*k, h_out*w_out)`` in channel-major row order.
-
-    The windows are a strided view of the padded input, so the only
-    work is one copy that runs along contiguous ``w_out``.
-    """
-    n, c = x_pad.shape[:2]
-    sn, sc, sh, sw = x_pad.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x_pad, (n, c, kernel, kernel, h_out, w_out),
-        (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
-    return windows.reshape(n, c * kernel * kernel, h_out * w_out)
-
-
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1,
            padding: int = 1) -> Tensor:
-    """NCHW cross-correlation with an (F, C, K, K) kernel, no bias."""
+    """NCHW cross-correlation with an (F, C, K, K) kernel, no bias.
+
+    The padded input is split once into ``stride**2`` phase images of
+    width ``wq`` plus a spare row, with the batch flattened into each
+    channel's row.  Outputs are computed in rows of width ``wq``, so tap
+    ``(i, j)`` is a GEMM on the contiguous slice of phase ``(i % stride,
+    j % stride)`` at ``(i // stride) * wq + j // stride``; outputs that
+    wrap a row or an image are dropped and get zero gradient.
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError("conv2d expects NCHW input and FCKK weight")
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    if padding < 0:
+        raise ValueError(f"padding must be non-negative, got {padding}")
     n, c, h, w = x.shape
     f, c_w, k, k2 = weight.shape
     if c != c_w or k != k2:
         raise ValueError(
             f"weight {weight.shape} incompatible with input {x.shape}")
-    h_out = (h + 2 * padding - k) // stride + 1
-    w_out = (w + 2 * padding - k) // stride + 1
+    s, p = stride, padding
+    h_out = (h + 2 * p - k) // s + 1
+    w_out = (w + 2 * p - k) // s + 1
     if h_out < 1 or w_out < 1:
         raise ValueError("kernel does not fit the padded input")
-    x_pad = np.pad(x.data,
-                   ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    w_flat = weight.data.reshape(f, -1)
-    out_data = (w_flat @ _im2col(x_pad, k, stride, h_out, w_out)).reshape(
-        n, f, h_out, w_out)
+    hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+    span = n * (hq + 1) * wq
+    x_pad = np.zeros((c, n, (hq + 1) * s, wq * s))
+    x_pad[:, :, p:p + h, p:p + w] = x.data.transpose(1, 0, 2, 3)
+    # for stride 1 the phase split is a no-copy view
+    phases = np.ascontiguousarray(x_pad.reshape(
+        c, n, hq + 1, s, wq, s).transpose(3, 5, 0, 1, 2, 4)).reshape(
+            s * s, c, span)
+    cols = span - ((k - 1) // s) * (wq + 1)  # room for the farthest tap
+    taps = [((i % s) * s + j % s, (i // s) * wq + j // s, i, j)
+            for i in range(k) for j in range(k)]
+
+    def nchw(wide):
+        return wide.reshape(-1, n, hq + 1, wq)[:, :, :h_out, :w_out] \
+            .transpose(1, 0, 2, 3)
+
+    step = max(1, _L2_BYTES // (16 * (f + c)))  # a block stays in L2
+    blocks = [(lo, min(lo + step, cols)) for lo in range(0, cols, step)]
+
+    out_wide = np.zeros((f, span))
+    tmp = np.empty((f, min(step, cols)))
+    for lo, hi in blocks:
+        for ph, off, i, j in taps:
+            out_wide[:, lo:hi] += np.matmul(
+                weight.data[:, :, i, j], phases[ph, :, lo + off:hi + off],
+                out=tmp[:, :hi - lo])
+    out_data = np.ascontiguousarray(nchw(out_wide))
 
     def backward():
-        # the closure holds x_pad, not the columns: they are rebuilt here,
-        # as a temporary, only when the weight needs its gradient
-        g = out.grad.reshape(n, f, h_out * w_out)
+        g_wide = np.zeros((f, span))
+        nchw(g_wide)[...] = out.grad
+        dw = np.zeros(weight.shape)
+        d_phases = np.zeros_like(phases) if x.requires_grad else None
+        tmp = np.empty((c, min(step, cols)))
+        for lo, hi in blocks:
+            g = g_wide[:, lo:hi]
+            for ph, off, i, j in taps:
+                if weight.requires_grad:
+                    dw[:, :, i, j] += g @ phases[ph, :, lo + off:hi + off].T
+                if x.requires_grad:
+                    d_phases[ph, :, lo + off:hi + off] += np.matmul(
+                        weight.data[:, :, i, j].T, g, out=tmp[:, :hi - lo])
         if weight.requires_grad:
-            dw = g @ _im2col(x_pad, k, stride, h_out, w_out).transpose(0, 2, 1)
-            weight._accumulate(dw.sum(axis=0).reshape(weight.shape))
+            weight._accumulate(dw)
         if x.requires_grad:
-            dcols = (w_flat.T @ g).reshape(n, c, k, k, h_out, w_out)
-            dx_pad = np.zeros_like(x_pad)
-            for i in range(k):
-                for j in range(k):
-                    dx_pad[:, :, i:i + stride * h_out:stride,
-                           j:j + stride * w_out:stride] += dcols[:, :, i, j]
-            if padding:
-                dx_pad = dx_pad[:, :, padding:-padding, padding:-padding]
-            x._accumulate(dx_pad)
+            dx_pad = d_phases.reshape(s, s, c, n, hq + 1, wq).transpose(
+                2, 3, 4, 0, 5, 1).reshape(c, n, (hq + 1) * s, wq * s)
+            x._accumulate(dx_pad[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3))
 
     out = Tensor._from_op(out_data, (x, weight), backward)
+    return out
+
+
+def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
+               eps: float) -> Tensor:
+    """Normalize (N, C, ...) over channel groups, then scale and shift.
+
+    One node; its input gradient is ``rstd * (d - mean(d) - x_hat *
+    mean(d * x_hat))`` per group, with ``d = gamma * grad``.
+    """
+    n, c = x.shape[:2]
+    grouped = x.data.reshape(n, groups, -1)
+    centred = grouped - grouped.mean(axis=2, keepdims=True)
+    rstd = (np.mean(centred ** 2, axis=2, keepdims=True) + eps) ** -0.5
+    x_hat = (centred * rstd).reshape(n, c, -1)
+    out_data = (x_hat * gamma.data[:, None] + beta.data[:, None]).reshape(
+        x.shape)
+
+    def backward():
+        g = out.grad.reshape(n, c, -1)
+        if gamma.requires_grad:
+            gamma._accumulate(np.einsum("ncs,ncs->c", g, x_hat))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=(0, 2)))
+        if x.requires_grad:
+            d = (g * gamma.data[:, None]).reshape(n, groups, -1)
+            xh = x_hat.reshape(n, groups, -1)
+            d_mean = d.mean(axis=2, keepdims=True)
+            d -= d_mean + xh * np.mean(d * xh, axis=2, keepdims=True)
+            d *= rstd
+            x._accumulate(d.reshape(x.shape))
+
+    out = Tensor._from_op(out_data, (x, gamma, beta), backward)
     return out
 
 

@@ -1,8 +1,10 @@
 """Reference implementations used to cross-check the fast paths.
 
 Everything here is written for clarity, not speed: full 2^n x 2^n gate
-matrices assembled element by element, applied by plain matmul.  None of
-it shares code with the package under test.
+matrices assembled element by element, applied by plain matmul, and
+convolution one output at a time.  None of it shares code with the
+package under test, except that the GroupNorm oracle is composed of the
+package's elementary autodiff ops rather than its single-node op.
 """
 
 import numpy as np
@@ -198,6 +200,36 @@ def reduced_density_oracle(amplitudes, keep, n):
                 rho[a, b] += (amplitudes[assemble(a, e)]
                               * np.conj(amplitudes[assemble(b, e)]))
     return rho
+
+
+def naive_conv(x, w, stride, padding):
+    """NCHW cross-correlation with an FCKK kernel, one output at a time."""
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    h_out = (h + 2 * padding - k) // stride + 1
+    w_out = (wd + 2 * padding - k) // stride + 1
+    out = np.zeros((n, f, h_out, w_out))
+    for b in range(n):
+        for of in range(f):
+            for i in range(h_out):
+                for j in range(w_out):
+                    patch = xp[b, :, i * stride:i * stride + k,
+                               j * stride:j * stride + k]
+                    out[b, of, i, j] = np.sum(patch * w[of])
+    return out
+
+
+def group_norm_oracle(x, gamma, beta, groups, eps=1e-5):
+    """GroupNorm composed of elementary autodiff ops, one node per step."""
+    n, c, h, w = x.shape
+    grouped = x.reshape(n, groups, (c // groups) * h * w)
+    mean = grouped.mean(axis=2, keepdims=True)
+    centred = grouped - mean
+    var = (centred ** 2).mean(axis=2, keepdims=True)
+    normed = centred * (var + eps) ** -0.5
+    normed = normed.reshape(n, c, h, w)
+    return normed * gamma.reshape(1, c, 1, 1) + beta.reshape(1, c, 1, 1)
 
 
 def numeric_grad(fn, x, h=1e-6):

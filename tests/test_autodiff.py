@@ -1,7 +1,11 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from oracles import check_grads, numeric_grad, record_graph_nodes
+from oracles import naive_conv as _naive_conv
 from qlatent.tensor import (
     Tensor,
     avg_pool2d,
@@ -49,6 +53,26 @@ def test_silu():
     check_grads(lambda: a.silu().sum(), [a])
     s = 1.7 / (1 + np.exp(-1.7))
     assert abs(Tensor([1.7]).silu().data[0] - s) < 1e-12
+
+
+def test_silu_is_one_node_matching_composition_at_extremes(monkeypatch):
+    x = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
+    a = Tensor(x, requires_grad=True)
+    b = Tensor(x, requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = a.silu()
+            want = b * b.sigmoid()
+            got.sum().backward()
+            want.sum().backward()
+    assert np.all(np.isfinite(got.data)) and np.all(np.isfinite(a.grad))
+    np.testing.assert_array_equal(got.data, want.data)
+    np.testing.assert_allclose(a.grad, b.grad, rtol=1e-12, atol=0)
+
+    recorded = record_graph_nodes(monkeypatch)
+    Tensor(x, requires_grad=True).silu()
+    assert recorded == [True]
 
 
 def test_sigmoid_matches_both_branches_without_overflow():
@@ -115,23 +139,6 @@ def test_constant_subgraphs_carry_no_grad():
     assert out._parents == ()
 
 
-def _naive_conv(x, w, stride, padding):
-    n, c, h, wd = x.shape
-    f, _, k, _ = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    h_out = (h + 2 * padding - k) // stride + 1
-    w_out = (wd + 2 * padding - k) // stride + 1
-    out = np.zeros((n, f, h_out, w_out))
-    for b in range(n):
-        for of in range(f):
-            for i in range(h_out):
-                for j in range(w_out):
-                    patch = xp[b, :, i * stride:i * stride + k,
-                               j * stride:j * stride + k]
-                    out[b, of, i, j] = np.sum(patch * w[of])
-    return out
-
-
 def test_conv2d_forward_matches_naive():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 3, 6, 6))
@@ -158,8 +165,11 @@ def test_conv2d_gradients():
     ((2, 2, 7, 7), (3, 2, 3, 3), 2, 1, True),
     ((2, 2, 5, 8), (3, 2, 3, 3), 1, 1, True),
     ((1, 2, 6, 9), (2, 2, 3, 3), 2, 1, True),
+    ((1, 2, 9, 4), (2, 2, 2, 2), 3, 0, True),
+    ((2, 1, 1, 2), (2, 1, 3, 3), 2, 3, True),
 ], ids=["resblock-skip-k1", "ssim-window-fixed-weight", "stride2-odd-size",
-        "non-square", "non-square-stride2"])
+        "non-square", "non-square-stride2", "stride-above-kernel",
+        "padding-above-input"])
 def test_conv2d_shapes_match_naive_and_central_differences(
         x_shape, w_shape, stride, padding, weight_grad):
     rng = np.random.default_rng(8)
@@ -208,6 +218,82 @@ def test_no_grad_records_no_graph_and_restores(monkeypatch):
 def test_conv2d_shape_validation():
     with pytest.raises(ValueError):
         conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 4, 3, 3))))
+    x, w = Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 3, 3, 3)))
+    for kwargs, name in [({"stride": 0}, "stride"), ({"stride": -1}, "stride"),
+                         ({"padding": -1}, "padding")]:
+        with pytest.raises(ValueError, match=name):
+            conv2d(x, w, **kwargs)
+
+
+def _sampled_central_differences(loss_fn, t, rng, samples=12, h=1e-3):
+    """(flat indices, central differences) at the first and last entry
+    of ``t`` and at ``samples`` random ones."""
+    flat = t.data.reshape(-1)
+    idx = np.unique(np.concatenate(
+        [[0, flat.size - 1], rng.choice(flat.size, samples, replace=False)]))
+    diffs = []
+    for i in idx:
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_fn().item()
+        flat[i] = orig - h
+        dn = loss_fn().item()
+        flat[i] = orig
+        diffs.append((up - dn) / (2 * h))
+    return idx, np.array(diffs)
+
+
+# the VAE's own layer shapes (base_channels=8, 64x64 RGB) at batch 2
+@pytest.mark.parametrize("x_shape, w_shape, stride, padding, weight_grad", [
+    ((2, 3, 64, 64), (8, 3, 3, 3), 1, 1, True),
+    ((2, 8, 64, 64), (8, 8, 3, 3), 1, 1, True),
+    ((2, 8, 64, 64), (8, 8, 3, 3), 2, 1, True),
+    ((2, 16, 32, 32), (16, 16, 3, 3), 2, 1, True),
+    ((2, 8, 32, 32), (16, 8, 1, 1), 1, 0, True),
+    ((2, 8, 64, 64), (3, 8, 3, 3), 1, 1, True),
+    ((2, 1, 64, 64), (1, 1, 8, 8), 4, 0, False),
+], ids=["stem-3to8", "8to8", "8to8-stride2", "16to16-stride2",
+        "skip-8to16-k1", "out-8to3", "ssim-window-fixed-weight"])
+def test_conv2d_vae_shapes_match_naive_and_central_differences(
+        x_shape, w_shape, stride, padding, weight_grad):
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=w_shape), requires_grad=weight_grad)
+    if not weight_grad:
+        w.data[...] = 1.0 / w.data[0, 0].size
+    got = conv2d(x, w, stride=stride, padding=padding)
+    np.testing.assert_allclose(
+        got.data, _naive_conv(x.data, w.data, stride, padding),
+        rtol=0, atol=1e-12)
+    upstream = Tensor(rng.normal(size=got.shape))
+
+    def loss():
+        return (conv2d(x, w, stride=stride, padding=padding)
+                * upstream).sum()
+
+    loss().backward()
+    # the loss is linear in each input, so central differences are exact
+    # up to rounding
+    for t in [x, w] if weight_grad else [x]:
+        idx, want = _sampled_central_differences(loss, t, rng)
+        np.testing.assert_allclose(t.grad.reshape(-1)[idx], want,
+                                   rtol=1e-6, atol=1e-8)
+    if not weight_grad:
+        assert w.grad is None
+
+
+def test_conv2d_peak_memory_is_a_few_inputs():
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(2, 8, 64, 64)), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        conv2d(x, w).sum().backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and w.grad is not None
+    assert peak <= 10 * x.data.nbytes, peak / x.data.nbytes
 
 
 def test_avg_pool_forward_and_grad():

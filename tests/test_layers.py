@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import check_grads, numeric_grad, random_circuit
+from oracles import (
+    check_grads,
+    group_norm_oracle,
+    numeric_grad,
+    random_circuit,
+    record_graph_nodes,
+)
 from qlatent.ansatz import (
     AnsatzKind,
     AnsatzSpec,
@@ -97,6 +103,30 @@ def test_groupnorm_matches_manual_formula():
     want = normed * gn.gamma.data.reshape(1, 6, 1, 1) \
         + gn.beta.data.reshape(1, 6, 1, 1)
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("groups", [1, 2, 4, 8])
+def test_groupnorm_matches_composed_oracle(groups, monkeypatch):
+    rng = np.random.default_rng(20 + groups)
+    gn = GroupNorm(8, num_groups=groups)
+    gn.gamma.data[:] = rng.normal(size=8)
+    gn.beta.data[:] = rng.normal(size=8)
+    x_data = rng.normal(1.5, 2.0, size=(3, 8, 5, 7))
+    upstream = rng.normal(size=x_data.shape)
+    oracle_params = [Tensor(gn.gamma.data.copy(), requires_grad=True),
+                     Tensor(gn.beta.data.copy(), requires_grad=True)]
+    x, x_ref = (Tensor(x_data, requires_grad=True) for _ in range(2))
+    want = group_norm_oracle(x_ref, *oracle_params, groups, gn.eps)
+    (want * Tensor(upstream)).sum().backward()
+
+    recorded = record_graph_nodes(monkeypatch)
+    got = gn(x)
+    assert recorded == [True]
+    (got * Tensor(upstream)).sum().backward()
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+    for fast, ref in [(x, x_ref), (gn.gamma, oracle_params[0]),
+                      (gn.beta, oracle_params[1])]:
+        np.testing.assert_allclose(fast.grad, ref.grad, rtol=0, atol=1e-10)
 
 
 def test_groupnorm_gradients():
