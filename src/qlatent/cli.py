@@ -275,22 +275,20 @@ def check_bench(cfg: dict, out: Path) -> dict:
         raise ValueError("gv_samples: need >= 30")
     if cfg["ee_draws"] < 2:
         raise ValueError("ee_draws: need >= 2")
-    if not 0 <= cfg["readout_alpha"] < 0.5:
-        raise ValueError("readout_alpha: must be in [0, 0.5)")
+    noise = NoiseModel(readout_alpha=cfg["readout_alpha"], p1=cfg["p1"],
+                       p2=cfg["p2"], trajectories=cfg["trajectories"])
     if cfg["shots"] < cfg["trajectories"]:
         raise ValueError("shots: must be >= trajectories")
     for n in qubits:
         for kind in kinds:
             AnsatzSpec(kind, n, cfg["layers"])
-    return {"kinds": kinds, "qubits": qubits}
+    return {"kinds": kinds, "qubits": qubits, "noise": noise}
 
 
 def run_bench(cfg: dict, out: Path, ctx: dict) -> None:
-    kinds, qubits = ctx["kinds"], ctx["qubits"]
+    kinds, qubits, noise = ctx["kinds"], ctx["qubits"], ctx["noise"]
     layers = cfg["layers"]
-    alpha = cfg["readout_alpha"]
-    noise = NoiseModel(readout_alpha=alpha, p1=cfg["p1"], p2=cfg["p2"],
-                       trajectories=cfg["trajectories"])
+    alpha = noise.readout_alpha
     rows = []
     per_kind: dict[AnsatzKind, dict[str, list]] = {}
     row_seed = cfg["seed"]
@@ -579,23 +577,26 @@ def check_sample(cfg: dict, out: Path) -> dict:
         raise ValueError("checkpoint mismatch: the UNet latent geometry "
                          "does not match the autoencoder")
     alphas = _parse_floats(cfg["alphas"])
-    if not alphas or any(not 0 <= a < 0.5 for a in alphas):
-        raise ValueError("alphas: values must lie in [0, 0.5)")
+    if not alphas:
+        raise ValueError("alphas: need at least one value")
     if len(set(alphas)) != len(alphas):
         raise ValueError("alphas: duplicate values")
     if cfg["n_per_class"] < 1:
         raise ValueError("n_per_class: must be >= 1")
     if cfg["steps"] < 2:
         raise ValueError("steps: must be >= 2")
-    for name in ("p1", "p2"):
-        if not 0 <= cfg[name] < 0.5:
-            raise ValueError(f"{name}: must be in [0, 0.5)")
+    # the noise model per alpha, None for exact runs; any nonzero setting
+    # builds one, so values out of range are rejected here
+    noises = [NoiseModel(readout_alpha=a, p1=cfg["p1"], p2=cfg["p2"],
+                         trajectories=cfg["trajectories"])
+              if a or cfg["p1"] or cfg["p2"] else None for a in alphas]
     if cfg["shots"] < cfg["trajectories"]:
         raise ValueError("shots: must be >= trajectories")
     schedule = build_schedule(echo["timesteps"], echo["beta_start"],
                               echo["beta_end"])
     return {"vae": vae, "unet": unet, "schedule": schedule,
-            "scale": echo["latent_scale"], "alphas": alphas}
+            "scale": echo["latent_scale"], "alphas": alphas,
+            "noises": noises}
 
 
 def run_sample(cfg: dict, out: Path, ctx: dict) -> None:
@@ -606,16 +607,11 @@ def run_sample(cfg: dict, out: Path, ctx: dict) -> None:
     labels = np.repeat(np.arange(num_classes), k)
     n = labels.size
     manifest_rows = []
-    for a_idx, alpha in enumerate(ctx["alphas"]):
-        if alpha > 0 or cfg["p1"] > 0 or cfg["p2"] > 0:
-            noise = NoiseModel(readout_alpha=alpha, p1=cfg["p1"],
-                               p2=cfg["p2"],
-                               trajectories=cfg["trajectories"])
-            settings = SamplingSettings(cfg["shots"], noise,
-                                        seed=cfg["seed"] + 7919 * a_idx,
-                                        mitigate=cfg["mitigate"])
-        else:
-            settings = None
+    for a_idx, (alpha, noise) in enumerate(zip(ctx["alphas"],
+                                               ctx["noises"])):
+        settings = None if noise is None else SamplingSettings(
+            cfg["shots"], noise, seed=cfg["seed"] + 7919 * a_idx,
+            mitigate=cfg["mitigate"])
         for model in (vae, unet):
             set_sampling(model, settings)
         rng = np.random.default_rng(

@@ -116,7 +116,7 @@ class Conv2d(Module):
 
     def __init__(self, in_channels: int, out_channels: int,
                  rng: np.random.Generator, kernel: int = 3, stride: int = 1,
-                 padding: int | None = None, bias: bool = True):
+                 padding: int | None = None):
         if stride not in (1, 2):
             raise ValueError(f"stride must be 1 or 2, got {stride}")
         if padding is None:
@@ -126,15 +126,11 @@ class Conv2d(Module):
         self.weight = Tensor(
             trunc_normal((out_channels, in_channels, kernel, kernel), rng),
             requires_grad=True)
-        self.bias = (Tensor(np.zeros(out_channels), requires_grad=True)
-                     if bias else None)
+        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = conv2d(x, self.weight, stride=self.stride,
-                     padding=self.padding)
-        if self.bias is not None:
-            out = out + self.bias.reshape(1, -1, 1, 1)
-        return out
+        return conv2d(x, self.weight, stride=self.stride,
+                      padding=self.padding) + self.bias.reshape(1, -1, 1, 1)
 
 
 class GroupNorm(Module):

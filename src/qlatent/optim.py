@@ -8,16 +8,11 @@ from .tensor import Tensor
 
 
 class Adam:
-    """Adam with bias correction; rejects non-finite gradients.
-
-    ``weight_decay`` here is the decoupled form: it shrinks the weights
-    directly and never enters the moment estimates.  The plain VAE
-    training setup uses it at zero.
-    """
+    """Adam with bias correction; rejects non-finite gradients."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+                 eps: float = 1e-8):
         params = list(params)
         if not params:
             raise ValueError("optimizer needs at least one parameter")
@@ -25,13 +20,10 @@ class Adam:
             raise ValueError(f"lr must be positive, got {lr}")
         if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
             raise ValueError(f"betas must lie in [0, 1), got {betas}")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
         self.params = params
         self.lr = lr
         self.betas = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in params]
         self._v = [np.zeros_like(p.data) for p in params]
@@ -58,8 +50,6 @@ class Adam:
         self.t += 1
         b1, b2 = self.betas
         for p, g, m, v in zip(self.params, grads, self._m, self._v):
-            if self.weight_decay:
-                p.data *= 1.0 - self.lr * self.weight_decay
             m *= b1
             m += (1 - b1) * g
             v *= b2

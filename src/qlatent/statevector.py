@@ -11,10 +11,11 @@ adjoint runs on a rows-last (2**n, k) state, so each op runs
 contiguously over at least the k rows.  Its stages: a closed-form
 product state from each qubit's first gate; runs of one-qubit gates with
 the same angles in every row (fixed or ``shared``) as Kronecker blocks
-on up to four adjacent qubits, one matmul each; gates with per-row
-angles one at a time; each CNOT/CZ/SWAP run as one index gather and
-sign mask.  A circuit of only RY, CNOT, CZ and SWAP, run without
-Pauli codes, stays in float64.  Callers see (k, 2**n) complex128
+on up to four adjacent qubits, one matmul each, with at most one gate
+per qubit in a block (a second gate on a qubit starts a new run); gates
+with per-row angles one at a time; each CNOT/CZ/SWAP run as one index
+gather and sign mask.  A circuit of only RY, CNOT, CZ and SWAP, run
+without Pauli codes, stays in float64.  Callers see (k, 2**n) complex128
 amplitudes.
 """
 
@@ -137,16 +138,6 @@ class StateVector:
         return f"StateVector(n_qubits={self.n_qubits})"
 
 
-def init_zero_state(n_qubits: int) -> StateVector:
-    """|0...0> on ``n_qubits`` qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise SimulationError(
-            f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
-
 def _ry(theta) -> np.ndarray:
     """RY matrices, real, shape (2, 2) + theta.shape."""
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
@@ -252,8 +243,10 @@ def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
     are shared).  Angles index [params columns; vals] for row ops and
     vals = [shared; fixed angles] for uni ops.  Each qubit's first op
     before any two-qubit gate or Pauli code goes into the product state;
-    then uni runs become blocks, row ops stay single, CNOT/CZ/SWAP runs
-    become permutations, and Pauli codes follow the ops in ``breaks``.
+    then uni runs become blocks with at most one op per qubit (a second
+    op on a qubit starts a new run), row ops stay single, CNOT/CZ/SWAP
+    runs become permutations, and Pauli codes follow the ops in
+    ``breaks``.
     """
     p = SimpleNamespace(n_row=len(slots) - n_shared, blocks=[], stages=[])
     p.dtype = np.float64 if not breaks and all(
@@ -273,8 +266,6 @@ def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
     p.size = len(place)
     p.kinds = [key + (np.array(gs), np.array(idx))
                for key, (gs, idx) in kinds.items()]
-    p.row_vals = any(idx.max() >= p.n_row for _, uni, _, idx in p.kinds
-                     if not uni)
     p.slot_at = tuple(np.array([(place[i][0], a) for i, a in slots],
                                dtype=np.intp).reshape(-1, 2).T)
     p.product = []  # (qubit, op) for the leading first op of each qubit
@@ -283,23 +274,20 @@ def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
                 p.product):
             break
         p.product.append((targets[0], place[i][0]))
-    factors, run, twos = [], [], []  # factor: uni ops on one block qubit
+    factors, run, twos = [], {}, []  # run: block qubit -> its one uni op
 
     def flush():
         if twos:
             p.stages.append(("perm",) + _permutation(
                 n, [structure[i] for i in twos]))
-        by_q = {}
-        for i in run:
-            by_q.setdefault(structure[i][1][0], []).append(place[i][0])
-        qs = sorted(by_q)
+        qs = sorted(run)
         while qs:
             lo = qs[0]
             w = max(q for q in qs if q < lo + _FUSE_QUBITS) - lo + 1
             p.stages.append(("block", len(p.blocks)))
             p.blocks.append((lo, w, np.arange(len(factors),
                                               len(factors) + w)))
-            factors.extend(by_q.get(q, []) for q in range(lo, lo + w))
+            factors.extend(run.get(q) for q in range(lo, lo + w))
             qs = [q for q in qs if q >= lo + w]
         twos.clear()
         run.clear()
@@ -307,12 +295,12 @@ def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
     for i in range(len(p.product), len(structure)):
         kind, targets = structure[i]
         two = kind in TWO_QUBIT_GATES
-        if (two and run) or (twos and not two):
+        if (two and run) or (twos and not two) or targets[0] in run:
             flush()
         if two:
             twos.append(i)
         elif place[i][1]:
-            run.append(i)
+            run[targets[0]] = place[i][0]
         else:
             flush()
             p.stages.append(("row", targets[0], place[i][0]))
@@ -320,14 +308,10 @@ def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
             flush()
             p.stages.append(("pauli", i))
     flush()
-    # the d-th op of every factor is composed in step d of depths
-    p.n_factors, p.factor_of = len(factors), np.full(p.size, len(factors))
-    for f, gs in enumerate(factors):
-        p.factor_of[gs] = f
-    p.depths = [tuple(np.array(v, dtype=np.intp) for v in zip(*[
-        (f, gs[d]) for f, gs in enumerate(factors) if len(gs) > d]))
-        for d in range(max(map(len, factors), default=0))]
-    p.sandwiched = np.array([g for gs in factors for g in gs[1:]], dtype=np.intp)
+    # block factors holding an op, and those ops; the others are identities
+    p.n_factors = len(factors)
+    gated = np.flatnonzero([g is not None for g in factors])
+    p.gated = gated, np.array([factors[f] for f in gated], dtype=np.intp)
     by_w = {}
     for b, (_, w, fidx) in enumerate(p.blocks):
         by_w.setdefault(w, []).append((b, fidx))
@@ -351,8 +335,7 @@ def _gate_matrices(kind: str, angles) -> np.ndarray:
 
 def _prepare(circuit: Circuit, params, shared, breaks=frozenset()):
     """The circuit's plan, k, the (2, 2, G, k) matrices of its one-qubit
-    ops, their angles per ``plan.kinds`` entry, the block matrices, and
-    per op the product V of the ops before it on its block qubit."""
+    ops, their angles per ``plan.kinds`` entry, and the block matrices."""
     params = np.asarray(params, dtype=np.float64)
     shared = np.zeros(0) if shared is None else np.asarray(
         shared, dtype=np.float64).ravel()
@@ -366,19 +349,16 @@ def _prepare(circuit: Circuit, params, shared, breaks=frozenset()):
     vals = np.concatenate(
         [shared, [circuit.ops[i].params[a] for i, a in plan.fixed]])
     k = params.shape[0]
-    rows = params.T if not plan.row_vals else np.concatenate(
+    rows = np.concatenate(
         [params.T, np.broadcast_to(vals[:, None], (vals.size, k))])
     mats, angles = np.empty((2, 2, plan.size, k), plan.dtype), []
     for kind, uni, gs, idx in plan.kinds:  # uni ops: (G, 1) angle columns
         angles.append([(vals[:, None] if uni else rows)[c] for c in idx.T])
         mats[:, :, gs] = _gate_matrices(kind, angles[-1])
-    u = mats[..., 0].transpose(2, 0, 1)
     factor = np.empty((plan.n_factors, 2, 2), plan.dtype)
-    before = np.empty(u.shape, plan.dtype)
-    factor[:], before[:] = np.eye(2), np.eye(2)
-    for fsel, gsel in plan.depths:
-        before[gsel] = factor[fsel]
-        factor[fsel] = u[gsel] @ factor[fsel]
+    factor[:] = np.eye(2)
+    fsel, gsel = plan.gated
+    factor[fsel] = mats[:, :, gsel, 0].transpose(2, 0, 1)
     blocks = [None] * len(plan.blocks)
     for w, bs, fidx in plan.krons:  # kron(factor[w-1], ..., factor[0])
         f = factor[fidx]
@@ -388,7 +368,7 @@ def _prepare(circuit: Circuit, params, shared, breaks=frozenset()):
                 len(bs), 2 ** (w - i), -1)
         for b, mb in zip(bs, m):
             blocks[b] = mb
-    return plan, k, mats, angles, blocks, before
+    return plan, k, mats, angles, blocks
 
 
 def run_circuit_batch(circuit: Circuit, params: np.ndarray,
@@ -407,8 +387,8 @@ def run_circuit_batch(circuit: Circuit, params: np.ndarray,
     their Pauli errors.
     """
     paulis = paulis or {}
-    plan, k, mats, _, blocks, _ = _prepare(circuit, params, shared,
-                                           frozenset(paulis))
+    plan, k, mats, _, blocks = _prepare(circuit, params, shared,
+                                        frozenset(paulis))
     first = {q: mats[:, 0, g] for q, g in plan.product}
     psi = np.empty((2 ** circuit.n_qubits, k), plan.dtype)
     psi[0] = 1.0
@@ -486,15 +466,15 @@ def adjoint_z_gradients(circuit: Circuit, params: np.ndarray,
     """Gradient of sum_q weights[b, q] <Z_q> for every row and every slot.
 
     ``amps`` must be ``run_circuit_batch(circuit, params, shared=shared)``
-    and ``weights`` has shape (k, n_qubits).  Returns (k, n_params), or
-    with ``shared`` the pair of per-row slot gradients (k, n_params - S)
-    and shared slot gradients (S,) summed over the rows.  This is the
+    and ``weights`` has shape (k, n_qubits).  Returns the pair of per-row
+    slot gradients (k, n_params - S) and shared slot gradients (S,)
+    summed over the rows, S = len(shared) (0 without it).  This is the
     adjoint method (Jones & Gacon 2020, arXiv:2009.02823) for the
     diagonal H_b = sum_q weights[b, q] Z_q: from phi = psi and lambda =
     H_b psi, one reverse sweep over the plan applies U^dag to both and
     reads 2 Re <lambda|dU|phi> per slot from 2x2 overlaps.
     """
-    plan, k, mats, angles, blocks, before = _prepare(circuit, params, shared)
+    plan, k, mats, angles, blocks = _prepare(circuit, params, shared)
     n = circuit.n_qubits
     weights = np.asarray(weights, dtype=np.float64)
     if amps.shape != (k, 2 ** n) or weights.shape != (k, n):
@@ -508,7 +488,7 @@ def adjoint_z_gradients(circuit: Circuit, params: np.ndarray,
     tmp = np.empty_like(state)
     # overlaps M after U^dag: per op and row, per block factor row-summed
     ms = np.zeros((plan.size, k, 2, 2), complex)
-    m_factor = np.zeros((plan.n_factors + 1, 2, 2), complex)
+    m_factor = np.empty((plan.n_factors, 2, 2), complex)
     for stage in reversed(plan.stages):
         if stage[0] == "block":
             lo, w, fidx = plan.blocks[stage[1]]
@@ -528,11 +508,8 @@ def adjoint_z_gradients(circuit: Circuit, params: np.ndarray,
             if stage[1] is not None:
                 tmp[:, stage[1]] = state
                 state, tmp = tmp, state
-    ms[:, 0] += m_factor[plan.factor_of]  # a block's ops: in row 0 only
-    # op j on a qubit of a block has W^dag dW = V^dag D V, V = ops before j
-    v = before[plan.sandwiched]
-    ms[plan.sandwiched, 0] = v.conj() @ ms[plan.sandwiched, 0] @ v.transpose(
-        0, 2, 1)
+    fsel, gsel = plan.gated
+    ms[gsel, 0] = m_factor[fsel]  # a block's ops: in row 0 only
     # each qubit's first op acts on |0>: with M the overlap at the product
     # state, its <lambda|dU U^dag|phi> is sum(D * U^T M conj(U))
     if plan.product:
@@ -545,8 +522,6 @@ def adjoint_z_gradients(circuit: Circuit, params: np.ndarray,
         for a, v in enumerate(_adjoint_derivatives(kind, kind_angles, ms[gs])):
             derivs[gs, a] = v
     grads = derivs[plan.slot_at]
-    if shared is None:
-        return grads.T
     return grads[:plan.n_row].T, grads[plan.n_row:].sum(axis=1)
 
 

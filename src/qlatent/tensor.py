@@ -198,9 +198,6 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
         return self * other ** -1.0
 
-    def __rtruediv__(self, other):
-        return Tensor(other) * self ** -1.0
-
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
@@ -265,21 +262,6 @@ class Tensor:
         out = Tensor._from_op(out_data, (self,), backward)
         return out
 
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
-        inverse = tuple(np.argsort(axes))
-        out_data = self.data.transpose(axes)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad.transpose(inverse))
-
-        out = Tensor._from_op(out_data, (self,), backward)
-        return out
-
     # ---- pointwise nonlinearities -----------------------------------------
 
     def exp(self):
@@ -292,42 +274,12 @@ class Tensor:
         out = Tensor._from_op(out_data, (self,), backward)
         return out
 
-    def log(self):
-        out_data = np.log(self.data)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad / self.data)
-
-        out = Tensor._from_op(out_data, (self,), backward)
-        return out
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * 0.5 / out_data)
-
-        out = Tensor._from_op(out_data, (self,), backward)
-        return out
-
     def sigmoid(self):
         out_data = _sigmoid(self.data)
 
         def backward():
             if self.requires_grad:
                 self._accumulate(out.grad * out_data * (1.0 - out_data))
-
-        out = Tensor._from_op(out_data, (self,), backward)
-        return out
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * (1.0 - out_data ** 2))
 
         out = Tensor._from_op(out_data, (self,), backward)
         return out

@@ -1,9 +1,10 @@
 """Compiled circuit plans against the dense oracle and parameter shift.
 
-A plan runs a product state, fused blocks of same-angle one-qubit gates,
-one-qubit stages of per-row angles and permutation stages.  Every check
-here compares with ``tests/oracles.py`` matrices or shifted expectation
-values computed from them, never with the plan itself.
+A plan runs a product state, fused blocks of same-angle one-qubit gates
+(at most one gate per qubit in a block), one-qubit stages of per-row
+angles and permutation stages.  Every check here compares with
+``tests/oracles.py`` matrices or shifted expectation values computed
+from them, never with the plan itself.
 """
 
 import numpy as np
@@ -40,8 +41,8 @@ def _mixed_circuit(rng, n, n_gates):
 
     U3 gates therefore come partly trainable, slots are listed in a random
     order (so a shared/per-row split cuts across ops), and every fourth
-    one-qubit gate repeats the previous gate's qubit, so blocks carry two
-    or more gates on one qubit.
+    one-qubit gate repeats the previous gate's qubit, so runs of
+    same-angle gates split into more blocks.
     """
     ops, q = [], 0
     for g in range(n_gates):
@@ -113,7 +114,7 @@ def test_shared_slots_equal_the_same_angles_per_row():
         np.testing.assert_allclose(amps, run_circuit_batch(circuit, full),
                                    rtol=0, atol=1e-12)
         weights = rng.standard_normal((5, n))
-        per_row = adjoint_z_gradients(circuit, full, amps, weights)
+        per_row, _ = adjoint_z_gradients(circuit, full, amps, weights)
         got_rows, got_shared = adjoint_z_gradients(circuit, rows, amps,
                                                    weights, shared=shared)
         np.testing.assert_allclose(got_rows, per_row[:, :n_row],
@@ -122,9 +123,10 @@ def test_shared_slots_equal_the_same_angles_per_row():
                                    rtol=0, atol=1e-12)
 
 
-def test_gates_on_one_qubit_in_a_block_need_the_sandwich():
-    # RZ, U3 and RY on qubit 1 fuse into one factor of one block; each
-    # angle's derivative sits between the gates before and after it
+def test_a_second_gate_on_a_qubit_starts_a_new_block():
+    # RZ, U3 and RY on qubit 1 with a U3 on qubit 2 in between: a block
+    # holds at most one gate per qubit, so each repeat of qubit 1 closes
+    # the pending block, and every angle still gets its exact derivative
     c = Circuit(3)
     for q in range(3):
         c.add("RY", (q,), (0.0,), trainable=True)
@@ -134,6 +136,9 @@ def test_gates_on_one_qubit_in_a_block_need_the_sandwich():
     c.add("RY", (1,), (0.0,), trainable=True)
     c.add("CNOT", (1, 0))
     c.add("CNOT", (2, 1))
+    plan = statevector._compile(*_key(c, c.n_params - 3))
+    assert [plan.blocks[st[1]][:2] for st in plan.stages
+            if st[0] == "block"] == [(1, 1), (1, 2), (1, 1)]
     rng = np.random.default_rng(11)
     full = rng.uniform(0, 2 * np.pi, (2, c.n_params))
     full[:, 3:] = full[0, 3:]
@@ -210,7 +215,7 @@ def test_one_gate_per_qubit_runs_equal_the_unfused_kernel(monkeypatch,
     np.testing.assert_allclose(d_shared, s_shared, rtol=0, atol=1e-12)
     # and the one-qubit-wide plan equals gate-by-gate application
     for b in range(4):
-        state = statevector.init_zero_state(5)
+        state = run_circuit(Circuit(5))
         full = np.concatenate([angles[b], theta])
         for op in bind_params(layer._template, full).ops:
             state = statevector.apply_gate(state, op)

@@ -268,6 +268,31 @@ def test_sample_gate_noise_applies_at_alpha_zero(pipeline, tmp_path):
     assert sample(tmp_path / "gate_noise", "p1=0.1", "p2=0.3") != exact
 
 
+@pytest.mark.parametrize("setting", ["p1=0.7", "trajectories=0"])
+def test_ansatz_bench_rejects_bad_noise_settings(tmp_path, capsys, setting):
+    code = main(["ansatz-bench", "--out", str(tmp_path),
+                 "--set", "qubits=4", "--set", "layers=1",
+                 "--set", setting])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "ansatz_bench_config.txt").exists()
+
+
+@pytest.mark.parametrize("settings", [
+    ("alphas=0,0.05", "trajectories=0"), ("alphas=0.7",),
+    ("alphas=0", "p1=-0.1"), ("alphas=0", "p2=0.5")])
+def test_sample_rejects_bad_noise_settings(pipeline, tmp_path, capsys,
+                                           settings):
+    argv = ["sample", "--out", str(tmp_path),
+            "--set", f"vae_checkpoint={pipeline / 'vae.qldm'}",
+            "--set", f"ddpm_checkpoint={pipeline / 'ddpm.qldm'}"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "sample_config.txt").exists()
+
+
 def test_ansatz_bench_outputs(tmp_path):
     code = main(["ansatz-bench", "--out", str(tmp_path),
                  "--set", "qubits=4,5", "--set", "layers=1",

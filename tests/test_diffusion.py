@@ -160,7 +160,7 @@ def test_latent_scale():
 def test_train_step_rejects_latents_with_graph():
     model, cfg = _tiny_unet()
     sched = build_schedule(timesteps=50)
-    opt = Adam(model.parameters(), weight_decay=0.01)
+    opt = Adam(model.parameters())
     latents = Tensor(np.zeros((2, 2, 4, 4)), requires_grad=True)
     with pytest.raises(ValueError):
         ddpm_train_step(model, opt, latents, np.array([0, 1]), sched,
@@ -174,7 +174,7 @@ def test_train_step_rejects_latents_with_graph():
 def test_training_beats_zero_baseline():
     model, cfg = _tiny_unet()
     sched = build_schedule(timesteps=50)
-    opt = Adam(model.parameters(), lr=3e-3, weight_decay=0.01)
+    opt = Adam(model.parameters(), lr=3e-3)
     rng = np.random.default_rng(6)
     latents = rng.normal(size=(8, 2, 4, 4))
     labels = np.arange(8) % 3
@@ -189,7 +189,7 @@ def test_training_beats_zero_baseline():
 def test_quantum_train_step_runs():
     model, cfg = _tiny_unet(quantum=True)
     sched = build_schedule(timesteps=20)
-    opt = Adam(model.parameters(), weight_decay=0.01)
+    opt = Adam(model.parameters())
     rng = np.random.default_rng(7)
     latents = rng.normal(size=(2, 2, 4, 4))
     loss = ddpm_train_step(model, opt, latents, np.array([0, 2]), sched, rng)

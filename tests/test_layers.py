@@ -322,7 +322,8 @@ def test_quantum_layer_adjoint_matches_parameter_shift(kind, n_qubits):
     # every slot, row by row: encoder RY angles and all ansatz angles
     np.testing.assert_allclose(
         adjoint_z_gradients(layer._template, full,
-                            run_circuit_batch(layer._template, full), weights),
+                            run_circuit_batch(layer._template, full),
+                            weights)[0],
         ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(angles.grad, ref[:, :n_qubits],
                                rtol=0, atol=1e-10)
@@ -337,8 +338,9 @@ def test_adjoint_matches_parameter_shift_on_random_circuits():
         circuit = random_circuit(rng, n, 24)
         params = rng.uniform(0.0, 2 * np.pi, size=(3, circuit.n_params))
         weights = rng.standard_normal((3, n))
-        got = adjoint_z_gradients(circuit, params,
-                                  run_circuit_batch(circuit, params), weights)
+        got, _ = adjoint_z_gradients(circuit, params,
+                                     run_circuit_batch(circuit, params),
+                                     weights)
         np.testing.assert_allclose(
             got, _weighted_shift_gradients(circuit, params, weights),
             rtol=0, atol=1e-10)
@@ -363,7 +365,7 @@ def test_adjoint_matches_parameter_shift_around_fixed_gates():
         np.testing.assert_allclose(
             amps[b], run_circuit(bind_params(circuit, params[b])).amplitudes,
             rtol=0, atol=1e-12)
-    got = adjoint_z_gradients(circuit, params, amps, weights)
+    got, _ = adjoint_z_gradients(circuit, params, amps, weights)
     np.testing.assert_allclose(
         got, _weighted_shift_gradients(circuit, params, weights),
         rtol=0, atol=1e-10)

@@ -5,9 +5,8 @@ from qlatent.optim import Adam
 from qlatent.tensor import Tensor
 
 
-def reference_adam_step(p, g, m, v, t, lr, b1, b2, eps, wd):
-    """Textbook decoupled-decay update, written independently."""
-    p = p * (1.0 - lr * wd)
+def reference_adam_step(p, g, m, v, t, lr, b1, b2, eps):
+    """Textbook update, written independently."""
     m = b1 * m + (1 - b1) * g
     v = b2 * v + (1 - b2) * g * g
     m_hat = m / (1 - b1 ** t)
@@ -27,22 +26,7 @@ def test_adam_matches_reference_updates():
         param.grad = g.copy()
         opt.step()
         ref_p, m, v = reference_adam_step(
-            ref_p, g, m, v, t, 0.01, 0.9, 0.999, 1e-8, 0.0)
-        np.testing.assert_allclose(param.data, ref_p, atol=1e-14)
-
-
-def test_adamw_matches_reference_with_decay():
-    rng = np.random.default_rng(1)
-    p0 = rng.normal(size=(5,))
-    param = Tensor(p0.copy(), requires_grad=True)
-    opt = Adam([param], lr=0.005, weight_decay=0.01)
-    ref_p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
-    for t in range(1, 8):
-        g = rng.normal(size=(5,))
-        param.grad = g.copy()
-        opt.step()
-        ref_p, m, v = reference_adam_step(
-            ref_p, g, m, v, t, 0.005, 0.9, 0.999, 1e-8, 0.01)
+            ref_p, g, m, v, t, 0.01, 0.9, 0.999, 1e-8)
         np.testing.assert_allclose(param.data, ref_p, atol=1e-14)
 
 
@@ -52,17 +36,6 @@ def test_first_step_magnitude_is_learning_rate():
     param.grad = np.array([10.0, -0.003, 2.0])
     opt.step()
     np.testing.assert_allclose(np.abs(param.data), 0.25, rtol=1e-4)
-
-
-def test_decay_is_decoupled_from_moments():
-    # with zero gradients only the decay acts, multiplicatively
-    param = Tensor(np.array([2.0, -4.0]), requires_grad=True)
-    opt = Adam([param], lr=0.1, weight_decay=0.5)
-    for _ in range(3):
-        param.grad = np.zeros(2)
-        opt.step()
-    np.testing.assert_allclose(
-        param.data, np.array([2.0, -4.0]) * (1 - 0.1 * 0.5) ** 3, atol=1e-12)
 
 
 def test_quadratic_convergence():
@@ -109,8 +82,6 @@ def test_constructor_validation():
         Adam([p], lr=0.0)
     with pytest.raises(ValueError):
         Adam([p], betas=(1.0, 0.999))
-    with pytest.raises(ValueError):
-        Adam([p], weight_decay=-0.1)
 
 
 def test_zero_grad_clears_all():
