@@ -3,7 +3,10 @@
 Covers von Neumann entanglement entropy of random-parameter circuits,
 parameter-shift gradients of a local <Z> cost, the gradient-variance
 barren-plateau indicator, and least-squares slope fits of its scaling
-with qubit count.
+with qubit count.  Gradient-variance samples run on the cost qubit's
+reverse light cone (Cerezo et al. 2021, arXiv:2001.00550): an op that
+touches no qubit of the cone after it commutes to the end and cancels in
+U^dag Z U.  ``parameter_shift_gradient`` runs the full circuit.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 from .ansatz import AnsatzKind, AnsatzSpec, build_ansatz, param_count
 from .statevector import (
     Circuit,
+    GateOp,
     StateVector,
     pauli_z_expectations_batch,
     reduced_density_matrix,
@@ -59,25 +63,51 @@ def parameter_shift_gradient(circuit: Circuit, params, param_idx: int,
     return float((e[0] - e[1]) / 2.0)
 
 
+def _light_cone(circuit: Circuit, cost_qubit: int):
+    """(cone circuit on its qubits renumbered in order, original slot of
+    each cone slot, cost qubit's new index): walking the ops backwards,
+    keep an op that touches the live set and add its qubits to it."""
+    live, keep = {cost_qubit}, []
+    for i in range(len(circuit.ops) - 1, -1, -1):
+        if live.intersection(circuit.ops[i].targets):
+            live.update(circuit.ops[i].targets)
+            keep.append(i)
+    keep.reverse()
+    qubit = {q: j for j, q in enumerate(sorted(live))}
+    op_at = {i: j for j, i in enumerate(keep)}
+    ops = [GateOp(op.kind, tuple(qubit[q] for q in op.targets), op.params)
+           for op in (circuit.ops[i] for i in keep)]
+    cols = [s for s, (i, _) in enumerate(circuit.param_slots) if i in op_at]
+    slots = [(op_at[i], a) for i, a in (circuit.param_slots[s] for s in cols)]
+    cone = Circuit(len(live), ops, slots)
+    return cone, np.array(cols, dtype=np.intp), qubit[cost_qubit]
+
+
 def first_param_gradient_samples(circuit: Circuit, samples: int, seed: int,
                                  cost_qubit: int = 0,
                                  param_idx: int = 0) -> np.ndarray:
     """Parameter-shift gradients at ``param_idx`` for random uniform angles.
 
     Parameter vectors are drawn i.i.d. uniform on [0, 2*pi); both shifted
-    evaluations for all samples run as one vectorized batch.
+    evaluations for all samples run as one vectorized batch on the cost
+    qubit's light cone.  A slot outside the cone has gradient exactly 0.
     """
     if circuit.n_params == 0:
         raise ValueError("circuit has no trainable parameters")
     if not 0 <= param_idx < circuit.n_params:
         raise ValueError(f"param_idx {param_idx} out of range")
+    if not 0 <= cost_qubit < circuit.n_qubits:
+        raise ValueError(f"cost qubit {cost_qubit} out of range")
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2 * np.pi, size=(samples, circuit.n_params))
-    plus = thetas.copy()
-    plus[:, param_idx] += np.pi / 2
-    minus = thetas.copy()
-    minus[:, param_idx] -= np.pi / 2
-    e = _cost_batch(circuit, np.vstack([plus, minus]), cost_qubit)
+    cone, cols, cost = _light_cone(circuit, cost_qubit)
+    col = np.flatnonzero(cols == param_idx)
+    if col.size == 0:
+        return np.zeros(samples)
+    shifted = np.vstack([thetas[:, cols]] * 2)
+    shifted[:samples, col] += np.pi / 2
+    shifted[samples:, col] -= np.pi / 2
+    e = _cost_batch(cone, shifted, cost)
     return (e[:samples] - e[samples:]) / 2.0
 
 

@@ -206,11 +206,11 @@ def sample_noisy(circuit: Circuit, params, noise: NoiseModel, shots: int,
     """Shot counts under gate + readout noise, averaged over trajectories.
 
     One row of ``sample_noisy_counts`` from ``default_rng(seed)``, keyed
-    by bitstring.  Deterministic for a given seed.
+    by bitstring.  The row is bound as ``shared``, so the trajectories
+    run the plan's fused blocks.  Deterministic for a given seed.
     """
-    params = np.asarray(params, dtype=np.float64).reshape(1, -1)
-    counts = sample_noisy_counts(circuit, params, noise, shots,
-                                 np.random.default_rng(seed))[0]
+    counts = sample_noisy_counts(circuit, np.zeros((1, 0)), noise, shots,
+                                 np.random.default_rng(seed), shared=params)[0]
     n = circuit.n_qubits
     return EmpiricalDistribution(n, {
         index_to_bitstring(int(i), n): int(counts[i])

@@ -14,9 +14,10 @@ the same angles in every row (fixed or ``shared``) as Kronecker blocks
 on up to four adjacent qubits, one matmul each, with at most one gate
 per qubit in a block (a second gate on a qubit starts a new run); gates
 with per-row angles one at a time; each CNOT/CZ/SWAP run as one index
-gather and sign mask.  A circuit of only RY, CNOT, CZ and SWAP, run
-without Pauli codes, stays in float64.  Callers see (k, 2**n) complex128
-amplitudes.
+gather and sign mask.  A Pauli-code insertion gathers only the rows it
+hits, applies the Paulis to them and scatters them back.  A circuit of
+only RY, CNOT, CZ and SWAP, run without Pauli codes, stays in float64.
+Callers see (k, 2**n) complex128 amplitudes.
 """
 
 from __future__ import annotations
@@ -384,7 +385,8 @@ def run_circuit_batch(circuit: Circuit, params: np.ndarray,
     ``paulis`` optionally maps an op index to ``(qubit, codes)`` pairs:
     right after that op, row b gets the Pauli ``codes[b]`` (0 = I,
     1..3 = X/Y/Z) on ``qubit``.  This is how noise trajectories insert
-    their Pauli errors.
+    their Pauli errors.  An insertion touches only the rows it hits (a
+    non-zero code); one that hits no row is skipped.
     """
     paulis = paulis or {}
     plan, k, mats, _, blocks = _prepare(circuit, params, shared,
@@ -407,7 +409,12 @@ def run_circuit_batch(circuit: Circuit, params: np.ndarray,
             psi, tmp = _apply_perm(psi, tmp, *stage[1:])
         else:
             for q, codes in paulis[stage[1]]:
-                _apply_1q(psi, tmp, q, _PAULI_STACK[:, :, codes])
+                hit = np.flatnonzero(codes)
+                if hit.size:
+                    rows = psi[:, hit]
+                    _apply_1q(rows, np.empty_like(rows), q,
+                              _PAULI_STACK[:, :, codes[hit]])
+                    psi[:, hit] = rows
     del tmp  # so the transposed copy below does not raise peak memory
     return np.ascontiguousarray(psi.T, dtype=np.complex128)
 

@@ -8,6 +8,7 @@ from qlatent.ansatz import (
     build_ansatz,
     param_count,
 )
+from qlatent import diagnostics
 from qlatent.diagnostics import (
     GradientVarianceSweep,
     entanglement_entropy,
@@ -20,7 +21,7 @@ from qlatent.diagnostics import (
     run_gv_sweep,
     variance_stderr,
 )
-from qlatent.statevector import Circuit, run_circuit
+from qlatent.statevector import Circuit, GateOp, run_circuit
 
 
 def _finite_difference(circuit, params, idx, cost_qubit=0, h=1e-6):
@@ -122,6 +123,71 @@ def test_gradient_samples_deterministic():
     a = first_param_gradient_samples(circuit, 50, seed=5)
     b = first_param_gradient_samples(circuit, 50, seed=5)
     np.testing.assert_array_equal(a, b)
+
+
+def test_gradient_samples_validate_the_cost_qubit_before_simulating(
+        monkeypatch):
+    spec = AnsatzSpec(AnsatzKind.ESE2, 4, 2)
+    circuit = build_ansatz(spec, np.zeros(param_count(spec)))
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating the cost qubit")
+
+    monkeypatch.setattr(diagnostics, "run_circuit_batch", no_simulation)
+    for cost_qubit in (-1, 4):
+        with pytest.raises(ValueError, match="cost qubit"):
+            first_param_gradient_samples(circuit, 8, 0, cost_qubit=cost_qubit)
+
+
+def _light_cone_example():
+    c = Circuit(4)
+    c.add("RY", (1,), (0.0,), trainable=True)  # slot 0: q1 never reaches q0
+    c.add("RY", (2,), (0.0,), trainable=True)  # slot 1: reaches q0 by CNOT
+    c.add("CNOT", (2, 0))
+    c.add("CNOT", (1, 3))
+    c.add("RY", (0,), (0.0,), trainable=True)  # slot 2: on the cost qubit
+    c.add("RY", (2,), (0.0,), trainable=True)  # slot 3: after the CNOT
+    return c
+
+
+def test_light_cone_drops_ops_outside_and_remaps_qubits():
+    cone, cols, cost = diagnostics._light_cone(_light_cone_example(), 0)
+    assert cone.n_qubits == 2 and cost == 0
+    assert cone.ops == [GateOp("RY", (1,), (0.0,)), GateOp("CNOT", (1, 0)),
+                        GateOp("RY", (0,), (0.0,))]
+    assert cone.param_slots == [(0, 0), (2, 0)]
+    np.testing.assert_array_equal(cols, [1, 2])
+
+
+def test_gradient_samples_outside_the_cone_are_exact_zeros():
+    circuit = _light_cone_example()
+    thetas = np.random.default_rng(3).uniform(0, 2 * np.pi, (6, 4))
+    for idx in (0, 3):
+        g = first_param_gradient_samples(circuit, 6, 3, param_idx=idx)
+        assert g.shape == (6,) and not g.any()
+    g = first_param_gradient_samples(circuit, 6, 3, param_idx=1)
+    want = [parameter_shift_gradient(circuit, t, 1) for t in thetas]
+    np.testing.assert_allclose(g, want, rtol=0, atol=1e-10)
+    assert np.abs(g).max() > 0.05
+
+
+@pytest.mark.parametrize("kind", list(AnsatzKind))
+def test_light_cone_samples_equal_full_circuit_parameter_shift(kind):
+    samples, seed = 3, 11
+    for n in (4, 5, 7):
+        for layers in (1, 3):
+            spec = AnsatzSpec(kind, n, layers)
+            circuit = build_ansatz(spec, np.zeros(param_count(spec)))
+            thetas = np.random.default_rng(seed).uniform(
+                0, 2 * np.pi, (samples, circuit.n_params))
+            for cost_qubit in (0, n - 1):
+                for idx in (0, circuit.n_params - 1):
+                    g = first_param_gradient_samples(
+                        circuit, samples, seed, cost_qubit, idx)
+                    want = [parameter_shift_gradient(circuit, t, idx,
+                                                     cost_qubit)
+                            for t in thetas]
+                    np.testing.assert_allclose(g, want, rtol=0, atol=1e-10)
 
 
 def test_gradient_variance_decreases_with_width():

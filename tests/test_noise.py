@@ -248,3 +248,18 @@ def test_trajectory_shot_split_sums_per_row():
     assert counts.shape == (5, 8)
     assert counts.dtype.kind == "i" and np.all(counts >= 0)
     np.testing.assert_array_equal(counts.sum(axis=1), np.full(5, 50))
+
+
+@pytest.mark.parametrize("kind", list(AnsatzKind))
+def test_sample_noisy_on_every_kind_matches_density_matrix_oracle(kind):
+    # the row is bound as shared, so the trajectories run fused blocks
+    # with the Pauli insertions applied to the rows they hit
+    spec = AnsatzSpec(kind, 4, 2)
+    circuit = build_ansatz(spec, np.zeros(param_count(spec)))
+    params = np.random.default_rng(29).uniform(0, 2 * np.pi, circuit.n_params)
+    p1, p2, alpha, shots = 0.05, 0.15, 0.05, 20_000
+    noise = NoiseModel(readout_alpha=alpha, p1=p1, p2=p2, trajectories=shots)
+    want = noisy_marginals_oracle(circuit, params, p1, p2, alpha)
+    sigma = np.sqrt(want * (1 - want) / shots)
+    got = sample_noisy(circuit, params, noise, shots, seed=5).marginals()
+    assert np.all(np.abs(got - want) <= 5 * sigma)

@@ -12,7 +12,6 @@ from oracles import (
 )
 from qlatent.statevector import (
     Circuit,
-    GateOp,
     SimulationError,
     StateVector,
     bind_params,
@@ -117,6 +116,20 @@ def test_batched_execution_matches_loop():
         assert np.abs(batch[i] - single).max() < 1e-12
 
 
+_PAULI_MATS = [np.eye(2), np.array([[0, 1], [1, 0]]),
+               np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+
+
+def _dense_with_paulis(c, row, paulis, b):
+    """Row b's final state, gate by gate, its Paulis after their ops."""
+    want = dense_run(Circuit(c.n_qubits), ())
+    for i, op in enumerate(bind_params(c, row).ops):
+        want = dense_circuit_unitary(Circuit(c.n_qubits, [op]), ()) @ want
+        for q, codes in paulis.get(i, ()):
+            want = embed_one_qubit(_PAULI_MATS[codes[b]], q, c.n_qubits) @ want
+    return want
+
+
 def test_batched_pauli_insertions_match_dense_oracle():
     # row b gets Pauli codes[b] after the chosen ops; the dense oracle
     # multiplies the same Pauli matrices in between the gate unitaries
@@ -127,20 +140,8 @@ def test_batched_pauli_insertions_match_dense_oracle():
     paulis = {2: [(0, rng.integers(0, 4, k))],
               7: [(1, rng.integers(0, 4, k)), (2, rng.integers(0, 4, k))]}
     batch = run_circuit_batch(c, params, paulis)
-    mats = [np.eye(2), np.array([[0, 1], [1, 0]]),
-            np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
     for b in range(k):
-        want = dense_run(Circuit(3), ())
-        for i, op in enumerate(c.ops):
-            angles = list(op.params)
-            for s, (op_idx, a) in enumerate(c.param_slots):
-                if op_idx == i:
-                    angles[a] = params[b, s]
-            want = dense_circuit_unitary(
-                Circuit(3, [GateOp(op.kind, op.targets, tuple(angles))]),
-                ()) @ want
-            for q, codes in paulis.get(i, ()):
-                want = embed_one_qubit(mats[codes[b]], q, 3) @ want
+        want = _dense_with_paulis(c, params[b], paulis, b)
         assert np.abs(batch[b] - want).max() < 1e-12
 
 
@@ -206,17 +207,55 @@ def test_pauli_codes_on_a_real_circuit_run_complex():
     codes = np.array([2, 0, 2, 1])
     paulis = {1: [(1, codes)], 4: [(0, codes[::-1])]}
     got = run_circuit_batch(c, params, paulis)
-    mats = [np.eye(2), np.array([[0, 1], [1, 0]]),
-            np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
     for b in range(k):
-        want = dense_run(Circuit(n), ())
-        bound = bind_params(c, params[b])
-        for i, op in enumerate(bound.ops):
-            want = dense_circuit_unitary(Circuit(n, [op]), ()) @ want
-            for q, cs in paulis.get(i, ()):
-                want = embed_one_qubit(mats[cs[b]], q, n) @ want
+        want = _dense_with_paulis(c, params[b], paulis, b)
         assert np.abs(got[b] - want).max() < 1e-12
     assert got.imag.any()
+
+
+def _sparse_pauli_circuits():
+    """Real RY/CZ and complex U3/CNOT plans on 4 qubits, slots trainable."""
+    real, u3 = Circuit(4), Circuit(4)
+    for layer in range(2):
+        for q in range(4):
+            real.add("RY", (q,), (0.0,), trainable=True)
+            u3.add("U3", (q,), (0.0, 0.0, 0.0), trainable=True)
+        for q in range(layer, 3, 2):
+            real.add("CZ", (q, q + 1))
+            u3.add("CNOT", (q, q + 1))
+    return real, u3
+
+
+def test_sparse_pauli_rows_match_dense_oracle():
+    # most rows carry code 0 at each insertion, one insertion hits no row
+    # and one two-qubit op has codes on both targets; only the hit rows
+    # are touched, and every row still equals the gate-by-gate oracle
+    rng = np.random.default_rng(53)
+    k = 12
+    for c in _sparse_pauli_circuits():
+        params = rng.uniform(0, 2 * np.pi, (k, c.n_params))
+        sparse = np.zeros((4, k), dtype=np.intp)
+        sparse[0, [3]] = 2
+        sparse[1, [0, 7]] = [1, 3]
+        sparse[2, [7, 11]] = [2, 2]
+        cz = next(i for i, op in enumerate(c.ops) if len(op.targets) == 2)
+        a, b = c.ops[cz].targets
+        paulis = {1: [(1, sparse[0])], cz: [(a, sparse[1]), (b, sparse[2])],
+                  len(c.ops) - 1: [(3, sparse[3])]}
+        got = run_circuit_batch(c, params, paulis)
+        for r in range(k):
+            want = _dense_with_paulis(c, params[r], paulis, r)
+            assert np.abs(got[r] - want).max() < 1e-12
+
+
+def test_all_zero_pauli_codes_leave_the_exact_run():
+    rng = np.random.default_rng(59)
+    for c in _sparse_pauli_circuits():
+        params = rng.uniform(0, 2 * np.pi, (3, c.n_params))
+        zero = np.zeros(3, dtype=np.intp)
+        got = run_circuit_batch(c, params, {0: [(0, zero)], 5: [(2, zero)]})
+        for r in range(3):
+            assert np.abs(got[r] - dense_run(c, params[r])).max() < 1e-12
 
 
 def test_bind_params_freezes_slots():
