@@ -22,7 +22,6 @@ from .statevector import (
     Circuit,
     StateVector,
     TWO_QUBIT_GATES,
-    bitstring_to_index,
     index_to_bitstring,
     run_circuit_batch,
     sample_indices,
@@ -59,6 +58,9 @@ class EmpiricalDistribution:
             if len(key) != self.n_qubits:
                 raise ValueError(
                     f"key {key!r} does not have {self.n_qubits} bits")
+        if "".join(self.counts).strip("01"):  # "" iff all 0/1
+            bad = next(key for key in self.counts if key.strip("01"))
+            raise ValueError(f"key {bad!r} holds a character other than 0/1")
         if self.total <= 0:
             raise ValueError("distribution needs at least one count")
 
@@ -79,9 +81,7 @@ class EmpiricalDistribution:
         Counts may be floats (a distribution built from probabilities);
         the sum over keys runs in key order, as a loop over them would.
         """
-        keys = "".join(self.counts).encode("ascii")
-        bits = np.frombuffer(keys, dtype=np.uint8).reshape(
-            -1, self.n_qubits) == ord("1")
+        bits = _key_bits(self.counts, self.n_qubits)
         counts = np.fromiter(self.counts.values(), dtype=np.float64,
                              count=len(self.counts))
         return np.where(bits, counts[:, None], 0.0).sum(axis=0) / self.total
@@ -89,6 +89,13 @@ class EmpiricalDistribution:
     def probabilities(self) -> dict[str, float]:
         t = self.total
         return {k: c / t for k, c in sorted(self.counts.items())}
+
+
+def _key_bits(keys, n_qubits: int) -> np.ndarray:
+    """(len(keys), n) booleans, True where a bitstring key holds a 1."""
+    joined = "".join(keys).encode("ascii")
+    return np.frombuffer(joined, dtype=np.uint8).reshape(
+        -1, n_qubits) == ord("1")
 
 
 @dataclass
@@ -286,16 +293,17 @@ def mitigate_confusion(dist: EmpiricalDistribution,
 
     Returns a probability for every observed bitstring, in sorted order.
     """
-    if len(cm.per_qubit) != dist.n_qubits:
+    n = dist.n_qubits
+    if len(cm.per_qubit) != n:
         raise ValueError(
             f"confusion matrix covers {len(cm.per_qubit)} qubits, "
-            f"distribution has {dist.n_qubits}")
+            f"distribution has {n}")
     observed = sorted(dist.counts)
-    idx = np.array([bitstring_to_index(key) for key in observed])
-    probs = np.zeros((1, 1 << dist.n_qubits))
+    idx = _key_bits(observed, n) @ (1 << np.arange(n))
+    probs = np.zeros((1, 1 << n))
     total = dist.total
     probs[0, idx] = [dist.counts[key] / total for key in observed]
     mask = np.zeros(probs.shape, dtype=bool)
     mask[0, idx] = True
     x = mitigate_probabilities(probs, mask, cm)[0]
-    return {key: float(x[i]) for key, i in zip(observed, idx)}
+    return dict(zip(observed, x[idx].tolist()))

@@ -12,12 +12,14 @@ contiguously over at least the k rows.  Its stages: a closed-form
 product state from each qubit's first gate; runs of one-qubit gates with
 the same angles in every row (fixed or ``shared``) as Kronecker blocks
 on up to four adjacent qubits, one matmul each, with at most one gate
-per qubit in a block (a second gate on a qubit starts a new run); gates
-with per-row angles one at a time; each CNOT/CZ/SWAP run as one index
-gather and sign mask.  A Pauli-code insertion gathers only the rows it
-hits, applies the Paulis to them and scatters them back.  A circuit of
-only RY, CNOT, CZ and SWAP, run without Pauli codes, stays in float64.
-Callers see (k, 2**n) complex128 amplitudes.
+per qubit in a block (a second gate on a qubit starts a new run); runs
+of gates with per-row angles on distinct qubits as per-row Kronecker
+blocks on the same windows, one batched matmul each on a rows-first copy
+of the state; each CNOT/CZ/SWAP run as one index gather and sign mask.
+A Pauli-code insertion gathers only the rows it hits, applies the Paulis
+to them and scatters them back.  A circuit of only RY, CNOT, CZ and
+SWAP, run without Pauli codes, stays in float64.  Callers see (k, 2**n)
+complex128 amplitudes.
 """
 
 from __future__ import annotations
@@ -244,10 +246,11 @@ def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
     are shared).  Angles index [params columns; vals] for row ops and
     vals = [shared; fixed angles] for uni ops.  Each qubit's first op
     before any two-qubit gate or Pauli code goes into the product state;
-    then uni runs become blocks with at most one op per qubit (a second
-    op on a qubit starts a new run), row ops stay single, CNOT/CZ/SWAP
-    runs become permutations, and Pauli codes follow the ops in
-    ``breaks``.
+    then uni runs become blocks and runs of row ops ``rows`` stages,
+    each with at most one op per qubit (a second op on a qubit, or an op
+    of the other sort, starts a new run) and split into the same
+    windows; CNOT/CZ/SWAP runs become permutations, and Pauli codes
+    follow the ops in ``breaks``.
     """
     p = SimpleNamespace(n_row=len(slots) - n_shared, blocks=[], stages=[])
     p.dtype = np.float64 if not breaks and all(
@@ -275,44 +278,51 @@ def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
                 p.product):
             break
         p.product.append((targets[0], place[i][0]))
-    factors, run, twos = [], {}, []  # run: block qubit -> its one uni op
+    # qubit -> its one op in the pending uni run / per-row run
+    factors, run, row_run, twos = [], {}, {}, []
+
+    def windows(ops):
+        """(lo, w, the op on each qubit lo..lo+w-1) on at most _FUSE_QUBITS
+        adjacent qubits, covering the qubits of ``ops``; op p.size, one
+        past the last, stands for the identity."""
+        qs = sorted(ops)
+        while qs:
+            lo = qs[0]
+            w = max(q for q in qs if q < lo + _FUSE_QUBITS) - lo + 1
+            yield lo, w, [ops.get(q, p.size) for q in range(lo, lo + w)]
+            qs = [q for q in qs if q >= lo + w]
 
     def flush():
         if twos:
             p.stages.append(("perm",) + _permutation(
                 n, [structure[i] for i in twos]))
-        qs = sorted(run)
-        while qs:
-            lo = qs[0]
-            w = max(q for q in qs if q < lo + _FUSE_QUBITS) - lo + 1
+        for lo, w, gs in windows(run):
             p.stages.append(("block", len(p.blocks)))
             p.blocks.append((lo, w, np.arange(len(factors),
                                               len(factors) + w)))
-            factors.extend(run.get(q) for q in range(lo, lo + w))
-            qs = [q for q in qs if q >= lo + w]
-        twos.clear()
-        run.clear()
+            factors.extend(gs)
+        if row_run:
+            p.stages.append(("rows", tuple(row_run.items()), [
+                (lo, w, np.array(gs)) for lo, w, gs in windows(row_run)]))
+        for pending in (twos, run, row_run):
+            pending.clear()
 
     for i in range(len(p.product), len(structure)):
         kind, targets = structure[i]
-        two = kind in TWO_QUBIT_GATES
-        if (two and run) or (twos and not two) or targets[0] in run:
-            flush()
-        if two:
+        if kind in TWO_QUBIT_GATES:
+            if run or row_run:
+                flush()
             twos.append(i)
-        elif place[i][1]:
-            run[targets[0]] = place[i][0]
         else:
-            flush()
-            p.stages.append(("row", targets[0], place[i][0]))
+            same, other = (run, row_run) if place[i][1] else (row_run, run)
+            if twos or other or targets[0] in same:
+                flush()
+            same[targets[0]] = place[i][0]
         if i in breaks:
             flush()
             p.stages.append(("pauli", i))
     flush()
-    # block factors holding an op, and those ops; the others are identities
-    p.n_factors = len(factors)
-    gated = np.flatnonzero([g is not None for g in factors])
-    p.gated = gated, np.array([factors[f] for f in gated], dtype=np.intp)
+    p.factor_ops = np.array(factors, dtype=np.intp)  # op of each factor
     by_w = {}
     for b, (_, w, fidx) in enumerate(p.blocks):
         by_w.setdefault(w, []).append((b, fidx))
@@ -335,8 +345,9 @@ def _gate_matrices(kind: str, angles) -> np.ndarray:
 
 
 def _prepare(circuit: Circuit, params, shared, breaks=frozenset()):
-    """The circuit's plan, k, the (2, 2, G, k) matrices of its one-qubit
-    ops, their angles per ``plan.kinds`` entry, and the block matrices."""
+    """The circuit's plan, k, the (2, 2, G + 1, k) matrices of its G
+    one-qubit ops and the identity, their angles per ``plan.kinds``
+    entry, and the block matrices."""
     params = np.asarray(params, dtype=np.float64)
     shared = np.zeros(0) if shared is None else np.asarray(
         shared, dtype=np.float64).ravel()
@@ -352,24 +363,50 @@ def _prepare(circuit: Circuit, params, shared, breaks=frozenset()):
     k = params.shape[0]
     rows = np.concatenate(
         [params.T, np.broadcast_to(vals[:, None], (vals.size, k))])
-    mats, angles = np.empty((2, 2, plan.size, k), plan.dtype), []
+    mats, angles = np.empty((2, 2, plan.size + 1, k), plan.dtype), []
+    mats[:, :, -1] = np.eye(2)[:, :, None]  # op plan.size: the identity
     for kind, uni, gs, idx in plan.kinds:  # uni ops: (G, 1) angle columns
         angles.append([(vals[:, None] if uni else rows)[c] for c in idx.T])
         mats[:, :, gs] = _gate_matrices(kind, angles[-1])
-    factor = np.empty((plan.n_factors, 2, 2), plan.dtype)
-    factor[:] = np.eye(2)
-    fsel, gsel = plan.gated
-    factor[fsel] = mats[:, :, gsel, 0].transpose(2, 0, 1)
+    factor = mats[:, :, plan.factor_ops, 0].transpose(2, 0, 1)
     blocks = [None] * len(plan.blocks)
-    for w, bs, fidx in plan.krons:  # kron(factor[w-1], ..., factor[0])
-        f = factor[fidx]
-        m = f[:, w - 1]
-        for i in range(w - 2, -1, -1):
-            m = (m[:, :, None, :, None] * f[:, i, None, :, None, :]).reshape(
-                len(bs), 2 ** (w - i), -1)
-        for b, mb in zip(bs, m):
+    for _, bs, fidx in plan.krons:
+        for b, mb in zip(bs, _kron(factor[fidx])):
             blocks[b] = mb
     return plan, k, mats, angles, blocks
+
+
+def _kron(f: np.ndarray) -> np.ndarray:
+    """(B, 2**w, 2**w) products kron(f[:, w-1], ..., f[:, 0]) of (B, w, 2,
+    2) one-qubit factors, the highest qubit the most significant; the
+    batch axis holds blocks or rows."""
+    m = f[:, -1]
+    for i in range(f.shape[1] - 2, -1, -1):  # C order: reshape, no copy
+        m = np.multiply(m[:, :, None, :, None], f[:, i, None, :, None, :],
+                        order="C").reshape(len(f), 2 * m.shape[1], -1)
+    return m
+
+
+def _apply_rows(psi, tmp, mats, gates, wins):
+    """Per-row ops on distinct qubits; returns (psi, tmp).  A single op
+    runs through ``_apply_1q``; otherwise each window's (k, 2**w, 2**w)
+    per-row Kronecker blocks multiply a rows-first copy of the state."""
+    if len(gates) == 1:
+        _apply_1q(psi, tmp, gates[0][0], mats[:, :, gates[0][1]])
+        return psi, tmp
+    k = psi.shape[-1]
+    np.copyto(tmp.reshape(k, -1), psi.T)
+    src, dst = tmp, psi
+    for lo, w, gs in wins:
+        f = mats[:, :, gs].transpose(3, 2, 0, 1)
+        x, y = (a.reshape(k, -1, 1 << w, 1 << lo) for a in (src, dst))
+        if lo == 0:  # x @ m^T, m^T being the product of transposed factors
+            np.matmul(x[..., 0], _kron(f.swapaxes(2, 3)), out=y[..., 0])
+        else:
+            np.matmul(_kron(f)[:, None], x, out=y)
+        src, dst = dst, src
+    np.copyto(dst, src.reshape(k, -1).T)
+    return dst, src
 
 
 def run_circuit_batch(circuit: Circuit, params: np.ndarray,
@@ -403,8 +440,8 @@ def run_circuit_batch(circuit: Circuit, params: np.ndarray,
         if stage[0] == "block":
             lo, w, _ = plan.blocks[stage[1]]
             psi, tmp = _apply_block(psi, tmp, lo, w, blocks[stage[1]])
-        elif stage[0] == "row":
-            _apply_1q(psi, tmp, stage[1], mats[:, :, stage[2]])
+        elif stage[0] == "rows":
+            psi, tmp = _apply_rows(psi, tmp, mats, *stage[1:])
         elif stage[0] == "perm":
             psi, tmp = _apply_perm(psi, tmp, *stage[1:])
         else:
@@ -493,9 +530,10 @@ def adjoint_z_gradients(circuit: Circuit, params: np.ndarray,
     state[1] = amps.T if plan.dtype == np.complex128 else amps.real.T
     np.multiply(_z_signs(n) @ weights.T, state[1], out=state[0])
     tmp = np.empty_like(state)
-    # overlaps M after U^dag: per op and row, per block factor row-summed
-    ms = np.zeros((plan.size, k, 2, 2), complex)
-    m_factor = np.empty((plan.n_factors, 2, 2), complex)
+    # overlaps M after U^dag: per op and row (the identity's entry takes
+    # the identity factors' and goes unread), per block factor row-summed
+    ms = np.zeros((plan.size + 1, k, 2, 2), complex)
+    m_factor = np.empty((len(plan.factor_ops), 2, 2), complex)
     for stage in reversed(plan.stages):
         if stage[0] == "block":
             lo, w, fidx = plan.blocks[stage[1]]
@@ -505,18 +543,18 @@ def adjoint_z_gradients(circuit: Circuit, params: np.ndarray,
             overlap = (lam.conj() @ phi.transpose(0, 2, 1)).sum(axis=0)
             m_factor[fidx] = (_partial_traces(w) @ overlap.ravel()).reshape(
                 w, 2, 2)
-        elif stage[0] == "row":
-            _apply_1q(state, tmp, stage[1],
-                      mats[:, :, stage[2]].conj().transpose(1, 0, 2))
-            ms[stage[2]] = _row_overlaps(state, stage[1])
+        elif stage[0] == "rows":  # ops on distinct qubits commute
+            for q, g in reversed(stage[1]):
+                _apply_1q(state, tmp, q,
+                          mats[:, :, g].conj().transpose(1, 0, 2))
+                ms[g] = _row_overlaps(state, q)
         else:  # undo psi[i] <- +-psi[perm[i]]
             if stage[2] is not None:
                 np.negative(state, out=state, where=stage[2][:, None])
             if stage[1] is not None:
                 tmp[:, stage[1]] = state
                 state, tmp = tmp, state
-    fsel, gsel = plan.gated
-    ms[gsel, 0] = m_factor[fsel]  # a block's ops: in row 0 only
+    ms[plan.factor_ops, 0] = m_factor  # a block's ops: in row 0 only
     # each qubit's first op acts on |0>: with M the overlap at the product
     # state, its <lambda|dU U^dag|phi> is sum(D * U^T M conj(U))
     if plan.product:

@@ -1,11 +1,13 @@
 """Compiled circuit plans against the dense oracle and parameter shift.
 
 A plan runs a product state, fused blocks of same-angle one-qubit gates
-(at most one gate per qubit in a block), one-qubit stages of per-row
-angles and permutation stages.  Every check here compares with
+(at most one gate per qubit in a block), per-row Kronecker blocks of
+runs of per-row gates on distinct qubits, and permutation stages.  Every check here compares with
 ``tests/oracles.py`` matrices or shifted expectation values computed
 from them, never with the plan itself.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +183,164 @@ def test_pauli_code_inside_a_block_splits_it():
         plan = statevector._compile(*_key(c, 0)[:4], breaks)
         assert [plan.blocks[st[1]][:2] for st in plan.stages
                 if st[0] == "block"] == blocks
+
+
+def _row_run_circuit(rng, n, real, n_layers=3):
+    """Layers of one-qubit gates, each layer followed by CZ (real) or
+    CNOT gates on random pairs; returns (circuit, number of shared slots).
+
+    A layer covers every qubit or a random subset, so per-row runs have
+    gaps inside a window and windows start on any qubit.  Most gates
+    take per-row angles; about one in ten has shared slots (listed last)
+    and one in ten fixed angles, and about one in seven is followed by a
+    second gate on its qubit; either ends the run of per-row gates.
+    """
+    one, two = ("RY", "CZ") if real else ("U3", "CNOT")
+    c, shared = Circuit(n), []
+    for _ in range(n_layers):
+        qs = (range(n) if rng.random() < 0.5
+              else np.flatnonzero(rng.random(n) < 0.6))
+        for q in qs:
+            for _ in range(1 + (rng.random() < 0.15)):
+                draw = rng.random()
+                c.add(one, (int(q),),
+                      tuple(rng.uniform(0, 2 * np.pi, 1 if real else 3)),
+                      trainable=draw < 0.9)
+                if 0.8 <= draw < 0.9:
+                    shared += c.param_slots[len(c.param_slots)
+                                            - (1 if real else 3):]
+        for _ in range(int(rng.integers(n)) if n > 1 else 0):
+            a, b = rng.choice(n, size=2, replace=False)
+            c.add(two, (int(a), int(b)))
+    c.param_slots = [s for s in c.param_slots if s not in shared] + shared
+    return c, len(shared)
+
+
+def _rows_windows(plan):
+    """Per ``rows`` stage of the plan, its (lo, w) windows."""
+    return [[(lo, w) for lo, w, _ in st[2]] for st in plan.stages
+            if st[0] == "rows"]
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("k", [1, 3, 64])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_per_row_blocks_match_dense_oracle(n, k, real):
+    rng = np.random.default_rng(1000 * n + 10 * k + real)
+    circuit, n_shared = _row_run_circuit(rng, n, real)
+    n_row = circuit.n_params - n_shared
+    full = rng.uniform(0, 2 * np.pi, (k, circuit.n_params))
+    full[:, n_row:] = full[0, n_row:]
+    amps = run_circuit_batch(circuit, full[:, :n_row], shared=full[0, n_row:])
+    if real:
+        assert not amps.imag.any()
+    for b in range(k):
+        np.testing.assert_allclose(amps[b], dense_run(circuit, full[b]),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_per_row_blocks_adjoint_matches_parameter_shift(n, real):
+    rng = np.random.default_rng(77 + 2 * n + real)
+    circuit, n_shared = _row_run_circuit(rng, n, real)
+    plan = statevector._compile(*_key(circuit, n_shared))
+    assert any(len(st[1]) > 1 for st in plan.stages if st[0] == "rows")
+    n_row = circuit.n_params - n_shared
+    full = rng.uniform(0, 2 * np.pi, (3, circuit.n_params))
+    full[:, n_row:] = full[0, n_row:]
+    rows, shared = full[:, :n_row], full[0, n_row:]
+    amps = run_circuit_batch(circuit, rows, shared=shared)
+    weights = rng.standard_normal((3, n))
+    want = _dense_shift_gradients(circuit, full, weights)
+    got_rows, got_shared = adjoint_z_gradients(circuit, rows, amps, weights,
+                                               shared=shared)
+    np.testing.assert_allclose(got_rows, want[:, :n_row], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got_shared, want[:, n_row:].sum(axis=0),
+                               rtol=0, atol=1e-10)
+
+
+def test_per_row_runs_end_at_repeats_shared_ops_and_pauli_codes():
+    # 7 qubits, per-row RY unless marked: a gapped window and a window
+    # starting on qubit 1, then runs ended by a second gate on qubit 3,
+    # by a shared gate and by a Pauli code
+    c, n = Circuit(7), 7
+    for q in range(n):
+        c.add("RY", (q,), (0.0,), trainable=True)
+    c.add("CZ", (0, 1))
+    for q in (0, 2, 3, 5, 6):
+        c.add("RY", (q,), (0.0,), trainable=True)
+    c.add("CZ", (2, 3))
+    for q in (1, 2, 3, 4, 5, 6, 3):
+        c.add("RY", (q,), (0.0,), trainable=True)
+    c.add("RY", (4,), (0.0,), trainable=True)  # shared: the last slot
+    c.add("RY", (5,), (0.0,), trainable=True)
+    c.add("RY", (6,), (0.0,), trainable=True)
+    c.param_slots.append(c.param_slots.pop(-3))
+    plan = statevector._compile(*_key(c, 1))
+    assert [st[0] for st in plan.stages] == [
+        "perm", "rows", "perm", "rows", "rows", "block", "rows"]
+    assert _rows_windows(plan) == [[(0, 4), (5, 2)], [(1, 4), (5, 2)],
+                                   [(3, 1)], [(5, 2)]]
+    assert [len(st[1]) for st in plan.stages if st[0] == "rows"] == [
+        5, 6, 1, 2]
+    rng = np.random.default_rng(13)
+    full = rng.uniform(0, 2 * np.pi, (3, c.n_params))
+    full[:, -1] = full[0, -1]
+    amps = run_circuit_batch(c, full[:, :-1], shared=full[0, -1:])
+    for b in range(3):
+        np.testing.assert_allclose(amps[b], dense_run(c, full[b]),
+                                   rtol=0, atol=1e-12)
+    weights = rng.standard_normal((3, n))
+    rows, shared_grad = adjoint_z_gradients(c, full[:, :-1], amps, weights,
+                                            shared=full[0, -1:])
+    want = _dense_shift_gradients(c, full, weights)
+    np.testing.assert_allclose(rows, want[:, :-1], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(shared_grad, want[:, -1:].sum(axis=0),
+                               rtol=0, atol=1e-10)
+    # a Pauli code after the gate on qubit 3 of the gapped layer splits
+    # that run there, and the trajectory equals the dense one
+    codes = np.array([2, 0, 3])
+    paulis = {n + 3: [(3, codes)]}
+    plan = statevector._compile(*_key(c, 1)[:4], frozenset(paulis))
+    assert _rows_windows(plan)[:2] == [[(0, 4)], [(5, 2)]]
+    got = run_circuit_batch(c, full[:, :-1], paulis, shared=full[0, -1:])
+    for b in range(3):
+        want = dense_run(Circuit(n), ())
+        for i, op in enumerate(bind_params(c, full[b]).ops):
+            want = dense_gate_unitary(op.kind, op.targets, op.params, n) @ want
+            for q, cs in paulis.get(i, ()):
+                want = embed_one_qubit(_PAULI_MATS[cs[b]], q, n) @ want
+        np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-12)
+
+
+def test_all_per_row_layers_are_one_rows_stage_each():
+    # encoder + SE 6q/2L with every angle per row: the encoder is the
+    # product state, and each U3 layer one rows stage on qubits 0..3, 4..5
+    spec = AnsatzSpec(AnsatzKind.SE, 6, 2)
+    circuit = build_trainable_encoder(6).extended(
+        build_ansatz(spec, np.zeros(param_count(spec))))
+    plan = statevector._compile(*_key(circuit, 0))
+    assert [st[0] for st in plan.stages] == ["rows", "perm", "rows", "perm"]
+    assert _rows_windows(plan) == [[(0, 4), (4, 2)]] * 2
+
+
+def test_rows_stages_allocate_no_state_sized_buffer():
+    # 10 qubits x 200 rows: a run holds its state, one scratch state and
+    # the output, plus the gate matrices and one window's row blocks;
+    # another rows-first pair of buffers would pass four states
+    spec = AnsatzSpec(AnsatzKind.SE, 10, 2)
+    circuit = build_ansatz(spec, np.zeros(param_count(spec)))
+    params = np.random.default_rng(0).uniform(0, 2 * np.pi,
+                                              (200, circuit.n_params))
+    run_circuit_batch(circuit, params)  # compile the plan outside the trace
+    tracemalloc.start()
+    try:
+        run_circuit_batch(circuit, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * 2 ** 10 * 200
 
 
 def test_one_gate_per_qubit_runs_equal_the_unfused_kernel(monkeypatch,

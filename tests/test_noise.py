@@ -9,6 +9,7 @@ from qlatent.noise import (
     NoiseModel,
     expected_hamming_distance,
     mitigate_confusion,
+    mitigate_probabilities,
     sample_noisy,
     sample_noisy_counts,
     sampling_control_distance,
@@ -157,6 +158,36 @@ def test_sampling_control_distance_equals_the_string_path():
         sample_bitstrings(st, 700, seed), 5) for seed in (11, 12))
     assert sampling_control_distance(st, 700, (11, 12)) == \
         expected_hamming_distance(a, b)
+
+
+def test_keys_must_be_bitstrings():
+    for counts, bad in (({"1x": 3, "01": 1}, "'1x'"),
+                        ({"01": 1, "2 ": 1, "-1": 1}, "'2 '")):
+        with pytest.raises(ValueError, match=bad):
+            EmpiricalDistribution(2, counts)
+    assert EmpiricalDistribution(2, {"10": 3, "01": 1}).total == 4
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_mitigation_indices_equal_bitstring_to_index(n):
+    # mitigation keyed by a random subset of strings equals the same
+    # probabilities placed at bitstring_to_index of each key
+    rng = np.random.default_rng(59 + n)
+    idx = rng.choice(1 << n, size=int(rng.integers(1, min(1 << n, 300) + 1)),
+                     replace=False)
+    keys = [index_to_bitstring(int(i), n) for i in idx]
+    dist = EmpiricalDistribution(n, dict(zip(keys, rng.integers(1, 50,
+                                                               len(keys)))))
+    cm = ConfusionMatrix.symmetric(n, 0.05)
+    probs = np.zeros((1, 1 << n))
+    mask = np.zeros(probs.shape, dtype=bool)
+    for key, c in dist.counts.items():
+        probs[0, bitstring_to_index(key)] = c / dist.total
+        mask[0, bitstring_to_index(key)] = True
+    want = mitigate_probabilities(probs, mask, cm)[0]
+    got = mitigate_confusion(dist, cm)
+    assert list(got) == sorted(keys)
+    assert got == {key: want[bitstring_to_index(key)] for key in keys}
 
 
 def test_mitigation_identity_confusion_is_noop():
