@@ -65,16 +65,16 @@ from .layers import QuantumLayer, SamplingSettings, set_sampling
 from .metrics import MetricReport, evaluate_sets
 from .noise import (
     ConfusionMatrix,
-    EmpiricalDistribution,
     NoiseModel,
-    expected_hamming_distance,
-    mitigate_confusion,
-    sample_noisy,
+    hamming_from_marginals,
+    index_marginals,
+    mitigate_probabilities,
+    sample_noisy_counts,
     sampling_control_distance,
 )
 from .optim import Adam
 from .routing import route_to_linear_chain
-from .statevector import index_to_bitstring, run_circuit
+from .statevector import run_circuit
 from .svgplot import LineSeries, write_line_plot
 from .vae import VAE, VAEConfig, encode_dataset, vae_train_step
 
@@ -160,6 +160,13 @@ _EVAL_FIELDS = [
           help="feature embedding for distribution metrics"),
     Field("knn_k", int, 3, help="k for precision/recall neighbourhoods"),
 ]
+
+
+def _require_min(cfg: dict, **lows: int) -> None:
+    """Reject the first integer setting below its lower bound."""
+    for key, low in lows.items():
+        if cfg[key] < low:
+            raise ValueError(f"{key}: must be >= {low}")
 
 
 def _require_file(path_text: str, what: str) -> Path:
@@ -271,10 +278,7 @@ def check_bench(cfg: dict, out: Path) -> dict:
         raise ValueError("qubits: need counts >= 2")
     if sorted(set(qubits)) != qubits:
         raise ValueError("qubits: must be strictly increasing")
-    if cfg["gv_samples"] < 30:
-        raise ValueError("gv_samples: need >= 30")
-    if cfg["ee_draws"] < 2:
-        raise ValueError("ee_draws: need >= 2")
+    _require_min(cfg, gv_samples=30, ee_draws=2)
     noise = NoiseModel(readout_alpha=cfg["readout_alpha"], p1=cfg["p1"],
                        p2=cfg["p2"], trajectories=cfg["trajectories"])
     if cfg["shots"] < cfg["trajectories"]:
@@ -310,20 +314,18 @@ def run_bench(cfg: dict, out: Path, ctx: dict) -> None:
             rng = np.random.default_rng(row_seed + 2)
             theta = rng.uniform(0.0, 2 * np.pi, pcount)
             state = run_circuit(circuit, theta)
-            probs = state.probabilities
-            exact = EmpiricalDistribution(n, {
-                index_to_bitstring(i, n): float(p)
-                for i, p in enumerate(probs) if p > 0})
-            noisy = sample_noisy(circuit, theta, noise, cfg["shots"],
-                                 row_seed + 3)
-            raw_h = expected_hamming_distance(noisy, exact)
+            exact = index_marginals(state.probabilities[None], n)[0]
+            counts = sample_noisy_counts(
+                circuit, np.zeros((1, 0)), noise, cfg["shots"],
+                np.random.default_rng(row_seed + 3), shared=theta)
+            probs = counts / cfg["shots"]
+            raw_h = hamming_from_marginals(index_marginals(probs, n)[0],
+                                           exact)
             if alpha > 0:
-                mit_probs = mitigate_confusion(
-                    noisy, ConfusionMatrix.symmetric(n, alpha))
-            else:
-                mit_probs = noisy.probabilities()
-            mitigated = EmpiricalDistribution(n, mit_probs)
-            mit_h = expected_hamming_distance(mitigated, exact)
+                probs = mitigate_probabilities(
+                    probs, counts > 0, ConfusionMatrix.symmetric(n, alpha))
+            mit_h = hamming_from_marginals(index_marginals(probs, n)[0],
+                                           exact)
             control = sampling_control_distance(
                 state, cfg["shots"], (row_seed + 4, row_seed + 5))
             rows.append([kind.value, n, layers, pcount,
@@ -394,8 +396,7 @@ SCHEMA_MAKE_DATASET = [
 
 
 def check_make_dataset(cfg: dict, out: Path) -> dict:
-    if cfg["n_images"] < 5:
-        raise ValueError("n_images: need at least 5")
+    _require_min(cfg, n_images=5)
     params = FundusParams(size=cfg["image_size"])
     return {"params": params}
 
@@ -432,8 +433,7 @@ SCHEMA_TRAIN_VAE = [
 
 
 def check_train_vae(cfg: dict, out: Path) -> dict:
-    if cfg["epochs"] < 1 or cfg["batch_size"] < 1:
-        raise ValueError("epochs and batch_size must be >= 1")
+    _require_min(cfg, epochs=1, batch_size=1)
     if cfg["learning_rate"] <= 0:
         raise ValueError("learning_rate: must be > 0")
     config = config_from_echo(
@@ -490,8 +490,7 @@ SCHEMA_TRAIN_DDPM = [
 
 
 def check_train_ddpm(cfg: dict, out: Path) -> dict:
-    if cfg["epochs"] < 1 or cfg["batch_size"] < 1:
-        raise ValueError("epochs and batch_size must be >= 1")
+    _require_min(cfg, epochs=1, batch_size=1)
     if cfg["learning_rate"] <= 0:
         raise ValueError("learning_rate: must be > 0")
     vae, _ = _load_model(cfg["vae_checkpoint"], "vae_checkpoint", "vae")
@@ -581,10 +580,7 @@ def check_sample(cfg: dict, out: Path) -> dict:
         raise ValueError("alphas: need at least one value")
     if len(set(alphas)) != len(alphas):
         raise ValueError("alphas: duplicate values")
-    if cfg["n_per_class"] < 1:
-        raise ValueError("n_per_class: must be >= 1")
-    if cfg["steps"] < 2:
-        raise ValueError("steps: must be >= 2")
+    _require_min(cfg, n_per_class=1, steps=2, batch_size=1)
     # the noise model per alpha, None for exact runs; any nonzero setting
     # builds one, so values out of range are rejected here
     noises = [NoiseModel(readout_alpha=a, p1=cfg["p1"], p2=cfg["p2"],
@@ -681,8 +677,7 @@ def check_evaluate(cfg: dict, out: Path) -> dict:
                 f"generated images {images.shape[1:]} do not match real "
                 f"images {real_images.shape[1:]}")
         loaded[alpha] = (images, labels)
-    if cfg["knn_k"] < 1:
-        raise ValueError("knn_k: must be >= 1")
+    _require_min(cfg, knn_k=1)
     return {"real_images": real_images, "real_labels": real_labels,
             "generated": loaded}
 
@@ -762,6 +757,7 @@ def check_compare(cfg: dict, out: Path) -> dict:
              if tok.strip()]
     if not names:
         raise ValueError("variants: need at least one name")
+    _require_min(cfg, n_per_class=1, steps=2, knn_k=1)
     real_manifest = _require_file(cfg["data"], "data")
     real_images, real_labels = load_split(real_manifest, cfg["split"])
     variants = {}

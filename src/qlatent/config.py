@@ -2,8 +2,8 @@
 
 Values resolve in three layers (defaults < config file < command-line
 overrides) against a typed schema, so every run can echo one flat,
-fully resolved key=value listing.  INI files may be flat key=value or
-use sections, in which case keys flatten to ``section.key``.
+fully resolved key=value listing.  Config files are flat ``key = value``
+INI tables; a section header is rejected.
 """
 
 from __future__ import annotations
@@ -35,26 +35,23 @@ def parse_bool(text: str) -> bool:
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Raw key -> string map from an INI file.
+    """Raw key -> string map from a flat ``key = value`` INI file.
 
-    A file without a section header is read as one flat table; keys in
-    named sections come back as ``section.key``.
+    Every command reads one flat table, so a line that opens a
+    ``[section]`` is rejected.
     """
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    flat = not stripped.startswith("[")
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.lstrip().startswith("["):
+            raise ValueError(f"bad config file {path}: line {number} is a "
+                             "section header; use flat key = value lines")
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        parser.read_string("[top]\n" + text if flat else text, source=str(path))
+        parser.read_string("[top]\n" + text, source=str(path))
     except configparser.Error as exc:
         raise ValueError(f"bad config file {path}: {exc}") from None
-    out: dict[str, str] = {}
-    for section in parser.sections():
-        prefix = "" if section == "top" and flat else f"{section}."
-        for key, value in parser.items(section):
-            out[f"{prefix}{key}"] = value
-    return out
+    return dict(parser.items("top"))
 
 
 def parse_overrides(pairs: list[str]) -> dict[str, str]:

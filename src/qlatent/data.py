@@ -23,23 +23,21 @@ import numpy as np
 
 CLASS_NAMES = ("healthy", "lesioned", "hazy")
 
+N_VESSELS = 6
+VESSEL_STEPS = 48
+LESION_COUNT_RANGE = (4, 9)  # integers(lo, hi): hi is exclusive
+HAZE_OPACITY_RANGE = (0.3, 0.6)
+
 
 @dataclass(frozen=True)
 class FundusParams:
-    """Knobs of the image generator; defaults match the 64x64 corpus."""
+    """Image side in pixels; the default matches the 64x64 corpus."""
 
     size: int = 64
-    n_vessels: int = 6
-    vessel_steps: int = 48
-    lesion_count_range: tuple[int, int] = (4, 9)
-    haze_opacity_range: tuple[float, float] = (0.3, 0.6)
 
     def __post_init__(self):
         if self.size < 16:
             raise ValueError(f"size must be >= 16, got {self.size}")
-        lo, hi = self.haze_opacity_range
-        if not 0 <= lo <= hi <= 1:
-            raise ValueError("haze opacity range must satisfy 0<=lo<=hi<=1")
 
 
 def _disc_mask(xx, yy, cx, cy, r):
@@ -96,15 +94,14 @@ def generate_image(params: FundusParams, label: int,
     img[cup & fundus] = np.array([0.98, 0.92, 0.62])
 
     vessel_color = np.array([0.32, 0.06, 0.05])
-    for _ in range(params.n_vessels):
+    for _ in range(N_VESSELS):
         angle = rng.uniform(0, 2 * np.pi)
         _paint_walk(img, (ox, oy), angle, rng, s, vessel_color,
-                    params.vessel_steps)
+                    VESSEL_STEPS)
     img[~fundus] = 0.02
 
     if label == 1:
-        lo, hi = params.lesion_count_range
-        for _ in range(int(rng.integers(lo, hi))):
+        for _ in range(int(rng.integers(*LESION_COUNT_RANGE))):
             ang = rng.uniform(0, 2 * np.pi)
             dist = radius * np.sqrt(rng.uniform(0.05, 0.9))
             lx, ly = cx + dist * np.cos(ang), cy + dist * np.sin(ang)
@@ -116,7 +113,7 @@ def generate_image(params: FundusParams, label: int,
                 color = np.array([0.22, 0.03, 0.03])  # dark haemorrhage
             img[blob] = 0.25 * img[blob] + 0.75 * color
     elif label == 2:
-        opacity = rng.uniform(*params.haze_opacity_range)
+        opacity = rng.uniform(*HAZE_OPACITY_RANGE)
         haze = np.array([0.78, 0.74, 0.70])
         img[fundus] = (1 - opacity) * img[fundus] + opacity * haze
 

@@ -144,6 +144,8 @@ def precision_recall_knn(real: np.ndarray, fake: np.ndarray,
     """
     if real.ndim != 2 or fake.ndim != 2 or real.shape[1] != fake.shape[1]:
         raise ValueError("feature sets must be (N, d) with matching d")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if real.shape[0] <= k or fake.shape[0] <= k:
         raise ValueError(f"need more than k={k} samples per set")
 

@@ -3,7 +3,9 @@
 Gate noise is modeled by Pauli-trajectory sampling: after each gate a
 uniformly random non-identity Pauli is inserted on the gate's qubits with
 probability p1 (one-qubit gates) or p2 (two-qubit gates).  Readout noise
-flips each measured bit independently with probability alpha.
+flips each measured bit independently with probability alpha, and
+mitigation inverts that one symmetric flip rate in closed form on every
+qubit axis.
 
 All rows and trajectories of one call run as a single batch through
 ``run_circuit_batch``, with the insertions drawn up front.  Counts stay
@@ -14,6 +16,7 @@ flips, marginals and mitigation; bitstring keys are built only for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +64,11 @@ class EmpiricalDistribution:
         if "".join(self.counts).strip("01"):  # "" iff all 0/1
             bad = next(key for key in self.counts if key.strip("01"))
             raise ValueError(f"key {bad!r} holds a character other than 0/1")
+        bad = next((key for key, c in self.counts.items()
+                    if not 0 <= c < math.inf), None)
+        if bad is not None:
+            raise ValueError(f"key {bad!r} has count {self.counts[bad]!r}, "
+                             "not a finite count >= 0")
         if self.total <= 0:
             raise ValueError("distribution needs at least one count")
 
@@ -86,10 +94,6 @@ class EmpiricalDistribution:
                              count=len(self.counts))
         return np.where(bits, counts[:, None], 0.0).sum(axis=0) / self.total
 
-    def probabilities(self) -> dict[str, float]:
-        t = self.total
-        return {k: c / t for k, c in sorted(self.counts.items())}
-
 
 def _key_bits(keys, n_qubits: int) -> np.ndarray:
     """(len(keys), n) booleans, True where a bitstring key holds a 1."""
@@ -98,29 +102,24 @@ def _key_bits(keys, n_qubits: int) -> np.ndarray:
         -1, n_qubits) == ord("1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfusionMatrix:
-    """Per-qubit 2x2 row-stochastic matrices, M[i][j] = Pr(measure j | true i)."""
+    """Symmetric readout confusion: each of n qubits flips with rate alpha.
 
-    per_qubit: list[np.ndarray]
+    Per qubit M = [[1 - alpha, alpha], [alpha, 1 - alpha]] with
+    M[i][j] = Pr(measure j | true i), the law ``_flip_readout`` samples.
+    """
+
+    n_qubits: int
+    alpha: float
 
     def __post_init__(self):
-        mats = []
-        for q, m in enumerate(self.per_qubit):
-            m = np.asarray(m, dtype=np.float64)
-            if m.shape != (2, 2):
-                raise ValueError(f"qubit {q}: confusion matrix must be 2x2")
-            if np.any(m < 0) or np.any(m > 1):
-                raise ValueError(f"qubit {q}: entries must lie in [0, 1]")
-            if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-12:
-                raise ValueError(f"qubit {q}: rows must sum to 1")
-            mats.append(m)
-        self.per_qubit = mats
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
     @classmethod
     def symmetric(cls, n_qubits: int, alpha: float) -> "ConfusionMatrix":
-        m = np.array([[1 - alpha, alpha], [alpha, 1 - alpha]])
-        return cls([m.copy() for _ in range(n_qubits)])
+        return cls(n_qubits, alpha)
 
 
 def _draw_paulis(circuit: Circuit, noise: NoiseModel, rows: int,
@@ -240,10 +239,11 @@ def expected_hamming_distance(p: EmpiricalDistribution,
     if p.n_qubits != q.n_qubits:
         raise ValueError(
             f"qubit-count mismatch: {p.n_qubits} vs {q.n_qubits}")
-    return _hamming_from_marginals(p.marginals(), q.marginals())
+    return hamming_from_marginals(p.marginals(), q.marginals())
 
 
-def _hamming_from_marginals(mp: np.ndarray, mq: np.ndarray) -> float:
+def hamming_from_marginals(mp: np.ndarray, mq: np.ndarray) -> float:
+    """Expected Hamming distance from two per-qubit P(1) vectors."""
     return float(np.sum(mp * (1 - mq) + mq * (1 - mp)))
 
 
@@ -258,27 +258,31 @@ def sampling_control_distance(state: StateVector, shots: int,
     qubits = np.arange(state.n_qubits)
     ma, mb = (((sample_indices(state, shots, seed)[:, None] >> qubits) & 1)
               .sum(axis=0) / shots for seed in seeds)
-    return _hamming_from_marginals(ma, mb)
+    return hamming_from_marginals(ma, mb)
 
 
 def mitigate_probabilities(probs: np.ndarray, observed: np.ndarray,
                            cm: ConfusionMatrix) -> np.ndarray:
-    """Invert per-qubit readout confusion on (k, 2**n) index probabilities.
+    """Invert symmetric readout confusion on (k, 2**n) index probabilities.
 
-    Applies the tensor-product inverse of the per-qubit matrices, one
-    qubit at a time, and keeps only the ``observed`` entries (the
+    Applies the per-qubit inverse ``[[1-a, -a], [-a, 1-a]] / (1-2a)`` to
+    each qubit axis in turn and keeps only the ``observed`` entries (the
     subspace-restriction idea of scalable mitigation): entry t is
-    ``sum_s prod_q Minv_q[s_q, t_q] probs[s]``, and unobserved s carry no
+    ``sum_s prod_q Minv[s_q, t_q] probs[s]``, and unobserved s carry no
     probability.  Negative quasi-probabilities are clipped to zero and
     each row renormalized.
     """
     k, dim = probs.shape
+    if dim != 1 << cm.n_qubits:
+        raise ValueError(f"probabilities have {dim} columns, the confusion "
+                         f"matrix covers {cm.n_qubits} qubits")
+    a = cm.alpha
+    if abs(1.0 - 2.0 * a) < 1e-12:
+        raise ValueError("confusion matrix is singular (alpha = 0.5)")
+    minv = np.array([[1.0 - a, -a], [-a, 1.0 - a]]) / (1.0 - 2.0 * a)
     x = probs
-    for q, m in enumerate(cm.per_qubit):
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) < 1e-12:
-            raise ValueError(f"qubit {q}: confusion matrix is singular")
-        x = np.einsum("st,kosi->koti", np.linalg.inv(m),
+    for q in range(cm.n_qubits):
+        x = np.einsum("st,kosi->koti", minv,
                       x.reshape(k, -1, 2, 1 << q)).reshape(k, dim)
     x = np.where(observed, np.clip(x, 0.0, None), 0.0)
     s = x.sum(axis=1, keepdims=True)
@@ -294,10 +298,6 @@ def mitigate_confusion(dist: EmpiricalDistribution,
     Returns a probability for every observed bitstring, in sorted order.
     """
     n = dist.n_qubits
-    if len(cm.per_qubit) != n:
-        raise ValueError(
-            f"confusion matrix covers {len(cm.per_qubit)} qubits, "
-            f"distribution has {n}")
     observed = sorted(dist.counts)
     idx = _key_bits(observed, n) @ (1 << np.arange(n))
     probs = np.zeros((1, 1 << n))

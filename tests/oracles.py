@@ -158,6 +158,24 @@ def noisy_marginals_oracle(circuit, params, p1, p2, alpha):
                      for q in range(n)])
 
 
+def mitigation_oracle(probs, observed, per_qubit):
+    """Readout mitigation with one explicitly inverted 2x2 matrix per qubit.
+
+    ``per_qubit[q]`` is qubit q's row-stochastic confusion matrix
+    M[i][j] = Pr(measure j | true i).  Applies ``np.linalg.inv`` of each
+    to its qubit axis of the (k, 2**n) probabilities, so entry t becomes
+    ``sum_s prod_q inv(M_q)[s_q, t_q] probs[s]``; then zeroes unobserved
+    entries, clips negatives and renormalizes each row.
+    """
+    k, dim = probs.shape
+    x = probs
+    for q, m in enumerate(per_qubit):
+        x = np.einsum("st,kosi->koti", np.linalg.inv(m),
+                      x.reshape(k, -1, 2, 1 << q)).reshape(k, dim)
+    x = np.where(observed, np.clip(x, 0.0, None), 0.0)
+    return x / x.sum(axis=1, keepdims=True)
+
+
 def layout_permutation_unitary(final_layout):
     """Permutation matrix P with P[phys, logical] structure.
 

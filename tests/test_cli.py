@@ -11,12 +11,18 @@ import sys
 import numpy as np
 import pytest
 
+from qlatent import cli
+from qlatent.ansatz import AnsatzKind, AnsatzSpec, build_ansatz, param_count
 from qlatent.checkpoint import (config_from_echo, load_checkpoint,
                                 save_checkpoint, state_dict)
 from qlatent.cli import main
 from qlatent.data import read_ppm
 from qlatent.diffusion import UNet, UNetConfig
 from qlatent.layers import QuantumLayer
+from qlatent.noise import (ConfusionMatrix, EmpiricalDistribution, NoiseModel,
+                           expected_hamming_distance, mitigate_confusion,
+                           sample_noisy)
+from qlatent.statevector import index_to_bitstring, run_circuit
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +299,31 @@ def test_sample_rejects_bad_noise_settings(pipeline, tmp_path, capsys,
     assert not (tmp_path / "sample_config.txt").exists()
 
 
+@pytest.mark.parametrize("setting", ["batch_size=0", "batch_size=-1"])
+def test_sample_rejects_bad_batch_size(pipeline, tmp_path, capsys, setting):
+    assert main(["sample", "--out", str(tmp_path),
+                 "--set", f"vae_checkpoint={pipeline / 'vae.qldm'}",
+                 "--set", f"ddpm_checkpoint={pipeline / 'ddpm.qldm'}",
+                 "--set", setting]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "sample_config.txt").exists()
+
+
+@pytest.mark.parametrize("setting", ["knn_k=0", "n_per_class=0", "steps=1"])
+def test_compare_models_rejects_bad_sizes(pipeline, tmp_path, capsys,
+                                          setting):
+    vae, ddpm = pipeline / "vae.qldm", pipeline / "ddpm.qldm"
+    code = main(["compare-models", "--out", str(tmp_path),
+                 "--set", f"data={pipeline / 'dataset' / 'manifest.csv'}",
+                 "--set", "variants=base",
+                 "--set", f"base_vae={vae}", "--set", f"base_ddpm={ddpm}",
+                 "--set", "n_per_class=2", "--set", "steps=3",
+                 "--set", setting])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "compare_models_config.txt").exists()
+
+
 def test_ansatz_bench_outputs(tmp_path):
     code = main(["ansatz-bench", "--out", str(tmp_path),
                  "--set", "qubits=4,5", "--set", "layers=1",
@@ -317,6 +348,44 @@ def test_ansatz_bench_outputs(tmp_path):
     for name in ("gv_vs_qubits.svg", "ee_vs_params.svg",
                  "hamming_vs_params.svg"):
         assert (tmp_path / name).is_file()
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.0])
+def test_ansatz_bench_hamming_equals_the_bitstring_path(tmp_path, monkeypatch,
+                                                        alpha):
+    # full-precision CSV floats, checked against sample_noisy +
+    # mitigate_confusion + expected_hamming_distance on bitstring dicts;
+    # 40 shots leave most 6-qubit strings unobserved, which moves the
+    # mitigated marginals unless only observed strings keep probability
+    monkeypatch.setattr(cli, "_f", lambda v: repr(float(v)))
+    assert main(["ansatz-bench", "--out", str(tmp_path),
+                 "--set", "kinds=BE,SE", "--set", "qubits=4,6",
+                 "--set", "layers=2", "--set", "gv_samples=30",
+                 "--set", "ee_draws=2", "--set", "shots=40",
+                 "--set", "trajectories=10", "--set", "p1=0.001",
+                 "--set", "p2=0.02", "--set", f"readout_alpha={alpha}"]) == 0
+    lines = (tmp_path / "ansatz_bench.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    noise = NoiseModel(readout_alpha=alpha, p1=0.001, p2=0.02,
+                       trajectories=10)
+    assert len(lines) == 5
+    for i, line in enumerate(lines[1:]):
+        row = dict(zip(header, line.split(",")))
+        spec = AnsatzSpec(AnsatzKind(row["kind"]), int(row["n_qubits"]), 2)
+        n, row_seed = spec.n_qubits, 100 * i
+        circuit = build_ansatz(spec, np.zeros(param_count(spec)))
+        theta = np.random.default_rng(row_seed + 2).uniform(
+            0.0, 2 * np.pi, param_count(spec))
+        exact = EmpiricalDistribution(n, {
+            index_to_bitstring(j, n): float(p) for j, p in
+            enumerate(run_circuit(circuit, theta).probabilities) if p > 0})
+        noisy = sample_noisy(circuit, theta, noise, 40, row_seed + 3)
+        mitigated = noisy if alpha == 0 else EmpiricalDistribution(
+            n, mitigate_confusion(noisy, ConfusionMatrix.symmetric(n, alpha)))
+        assert abs(float(row["hamming_raw"])
+                   - expected_hamming_distance(noisy, exact)) <= 1e-12
+        assert abs(float(row["hamming_mitigated"])
+                   - expected_hamming_distance(mitigated, exact)) <= 1e-12
 
 
 def test_config_file_layering(tmp_path):

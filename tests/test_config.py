@@ -26,11 +26,16 @@ def test_flat_ini_parsing(tmp_path):
         "epochs": "5", "learning_rate": "0.01"}
 
 
-def test_sectioned_ini_flattens_to_dotted_keys(tmp_path):
+@pytest.mark.parametrize("text", [
+    "[model]\nwidth = 32\n", "[top]\nepochs = 3\n",
+    "epochs = 3\n[train]\nepochs = 4\n", "  [DEFAULT]\nepochs = 3\n"],
+    ids=["named", "top", "after-keys", "indented-default"])
+def test_section_header_rejected(tmp_path, text):
     path = tmp_path / "run.ini"
-    path.write_text("[model]\nwidth = 32\n[train]\nepochs = 3\n")
-    assert load_config_file(path) == {
-        "model.width": "32", "train.epochs": "3"}
+    path.write_text(text)
+    with pytest.raises(ValueError, match="section header") as info:
+        load_config_file(path)
+    assert str(path) in str(info.value)
 
 
 def test_bad_ini_rejected(tmp_path):

@@ -55,8 +55,6 @@ def test_label_validation():
         generate_image(FundusParams(), 3, image_rng(0, 0))
     with pytest.raises(ValueError):
         FundusParams(size=8)
-    with pytest.raises(ValueError):
-        FundusParams(haze_opacity_range=(0.9, 0.2))
 
 
 def test_split_sizes():

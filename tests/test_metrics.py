@@ -211,6 +211,9 @@ def test_precision_recall_validation():
         precision_recall_knn(x, np.zeros((10, 3)))
     with pytest.raises(ValueError):
         precision_recall_knn(x[:3], x)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            precision_recall_knn(x, x.copy(), k=k)
 
 
 def test_evaluate_sets_identical():

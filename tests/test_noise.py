@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oracles import noisy_marginals_oracle, random_circuit
+from oracles import mitigation_oracle, noisy_marginals_oracle, random_circuit
 from qlatent.ansatz import AnsatzKind, AnsatzSpec, build_ansatz, param_count
 from qlatent.noise import (
     ConfusionMatrix,
@@ -168,6 +170,15 @@ def test_keys_must_be_bitstrings():
     assert EmpiricalDistribution(2, {"10": 3, "01": 1}).total == 4
 
 
+def test_counts_must_be_finite_and_non_negative():
+    for counts, bad in (({"0": 5, "1": -2}, "'1'"),
+                        ({"00": 1, "01": float("nan"), "10": -1}, "'01'"),
+                        ({"0": float("inf")}, "'0'")):
+        with pytest.raises(ValueError, match=bad):
+            EmpiricalDistribution(len(next(iter(counts))), counts)
+    assert EmpiricalDistribution(1, {"0": 0, "1": 0.5}).total == 0.5
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_mitigation_indices_equal_bitstring_to_index(n):
     # mitigation keyed by a random subset of strings equals the same
@@ -194,7 +205,7 @@ def test_mitigation_identity_confusion_is_noop():
     dist = EmpiricalDistribution(2, {"00": 70, "10": 20, "11": 10})
     cm = ConfusionMatrix.symmetric(2, 0.0)
     out = mitigate_confusion(dist, cm)
-    for k, v in dist.probabilities().items():
+    for k, v in {"00": 0.7, "10": 0.2, "11": 0.1}.items():
         assert abs(out[k] - v) < 1e-12
 
 
@@ -216,16 +227,6 @@ def test_mitigation_recovers_exact_corrupted_point_mass():
             assert abs(v) < 1e-10
 
 
-def test_mitigation_handles_asymmetric_confusion():
-    # 1 qubit, M = [[0.9, 0.1], [0.3, 0.7]], true x = (0.6, 0.4):
-    # noisy = (0.9*0.6 + 0.3*0.4, 0.1*0.6 + 0.7*0.4) = (0.66, 0.34)
-    dist = EmpiricalDistribution(1, {"0": 66, "1": 34})
-    cm = ConfusionMatrix([np.array([[0.9, 0.1], [0.3, 0.7]])])
-    out = mitigate_confusion(dist, cm)
-    assert abs(out["0"] - 0.6) < 1e-10
-    assert abs(out["1"] - 0.4) < 1e-10
-
-
 def test_mitigation_restores_sampled_point_mass():
     n, alpha = 4, 0.1
     c = Circuit(n)
@@ -238,8 +239,46 @@ def test_mitigation_restores_sampled_point_mass():
 def test_mitigation_rejects_singular_confusion():
     dist = EmpiricalDistribution(1, {"0": 1, "1": 1})
     cm = ConfusionMatrix.symmetric(1, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular"):
         mitigate_confusion(dist, cm)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.05, 0.1, 0.25, 0.4])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mitigation_equals_per_qubit_inverse_oracle(n, alpha):
+    # the closed-form symmetric inverse against np.linalg.inv of one
+    # 2x2 matrix per qubit, on random rows with random observed masks
+    rng = np.random.default_rng(1000 * n + int(1000 * alpha))
+    probs = rng.random((3, 1 << n))
+    observed = rng.random(probs.shape) < 0.6
+    observed[:, 0] = True
+    probs = np.where(observed, probs, 0.0)
+    probs /= probs.sum(axis=1, keepdims=True)
+    m = np.array([[1 - alpha, alpha], [alpha, 1 - alpha]])
+    got = mitigate_probabilities(probs, observed,
+                                 ConfusionMatrix.symmetric(n, alpha))
+    want = mitigation_oracle(probs, observed, [m] * n)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_confusion_matrix_is_one_symmetric_rate():
+    cm = ConfusionMatrix.symmetric(3, 0.1)
+    assert [f.name for f in dataclasses.fields(cm)] == ["n_qubits", "alpha"]
+    assert cm == ConfusionMatrix(3, 0.1)
+    for alpha in (-0.01, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            ConfusionMatrix.symmetric(2, alpha)
+    assert ConfusionMatrix.symmetric(2, 1.0).alpha == 1.0
+
+
+def test_mitigation_rejects_a_width_that_is_not_2_to_the_n():
+    cm = ConfusionMatrix.symmetric(3, 0.05)
+    for dim in (4, 16):
+        probs = np.full((1, dim), 1.0 / dim)
+        with pytest.raises(ValueError, match="3 qubits"):
+            mitigate_probabilities(probs, probs > 0, cm)
+    with pytest.raises(ValueError, match="3 qubits"):
+        mitigate_confusion(EmpiricalDistribution(2, {"01": 1}), cm)
 
 
 def test_mitigation_output_normalized_after_clipping():
