@@ -47,8 +47,18 @@ def load_config_file(path) -> dict[str, str]:
                              "section header; use flat key = value lines")
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
+    # the parser counts the header line added here; messages give the
+    # file's own line numbers
     try:
         parser.read_string("[top]\n" + text, source=str(path))
+    except configparser.ParsingError as exc:
+        lines = ", ".join(f"line {number - 1}: {line}"
+                          for number, line in exc.errors)
+        raise ValueError(f"bad config file {path}: cannot parse "
+                         f"{lines}") from None
+    except configparser.DuplicateOptionError as exc:
+        raise ValueError(f"bad config file {path}: line {exc.lineno - 1} "
+                         f"sets {exc.option!r} again") from None
     except configparser.Error as exc:
         raise ValueError(f"bad config file {path}: {exc}") from None
     return dict(parser.items("top"))

@@ -25,8 +25,10 @@ class Adam:
         self.betas = betas
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in params]
-        self._v = [np.zeros_like(p.data) for p in params]
+        # the moments are flat vectors; parameter i ends at _ends[i]
+        self._ends = np.cumsum([p.size for p in params])
+        self._m = np.zeros(int(self._ends[-1]))
+        self._v = np.zeros(int(self._ends[-1]))
 
     def zero_grad(self):
         for p in self.params:
@@ -38,22 +40,22 @@ class Adam:
         The check runs before any parameter is touched, so a rejected
         step leaves the model exactly as it was.
         """
-        grads = []
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise ValueError(
-                    f"non-finite gradient in parameter {i}; step rejected")
-            grads.append(g)
+        g = np.concatenate([np.zeros(p.size) if p.grad is None
+                            else p.grad.reshape(-1) for p in self.params])
+        bad = ~np.isfinite(g)
+        if bad.any():
+            first = int(np.searchsorted(self._ends, np.argmax(bad), "right"))
+            raise ValueError(
+                f"non-finite gradient in parameter {first}; step rejected")
         self.t += 1
         b1, b2 = self.betas
-        for p, g, m, v in zip(self.params, grads, self._m, self._v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** self.t)
+        v_hat = v / (1 - b2 ** self.t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, hi in zip(self.params, self._ends):
+            p.data -= update[hi - p.size:hi].reshape(p.shape)

@@ -46,8 +46,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))  # never overflows
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` elsewhere, with
+    ``e = exp(-|x|)``, which never overflows."""
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # e <= 1, so this picks 1 where x >= 0 and e elsewhere, exactly,
+    # without the branches of np.where on a mixed-sign input
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 class Tensor:
@@ -92,14 +101,23 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            # a copy, never an alias: callers pass views of other
-            # gradients, and later calls add into this array in place
+    def _accumulate(self, g: np.ndarray, owned: bool = False):
+        """Add ``g`` into ``.grad``.
+
+        The first gradient is copied, never aliased: callers pass views
+        of other gradients, and later calls add into ``.grad`` in place.
+        A closure that has just built ``g`` and keeps no other reference
+        to it passes ``owned=True``, and a C-contiguous ``g`` of the
+        right shape is then kept as ``.grad`` without the copy.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif (owned and isinstance(g, np.ndarray)
+              and g.shape == self.data.shape and g.flags.c_contiguous):
+            self.grad = g
+        else:
             self.grad = np.empty_like(self.data, order="C")
             self.grad[...] = g
-        else:
-            self.grad += g
 
     def backward(self):
         """Backpropagate from a scalar; accumulates into ``.grad``.
@@ -126,7 +144,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.ones_like(self.data), owned=True)
         for node in reversed(topo):
             if node._backward is None:
                 continue
@@ -174,10 +192,12 @@ class Tensor:
         def backward():
             if self.requires_grad:
                 self._accumulate(
-                    _unbroadcast(out.grad * other.data, self.shape))
+                    _unbroadcast(out.grad * other.data, self.shape),
+                    owned=True)
             if other.requires_grad:
                 other._accumulate(
-                    _unbroadcast(out.grad * self.data, other.shape))
+                    _unbroadcast(out.grad * self.data, other.shape),
+                    owned=True)
 
         out = Tensor._from_op(out_data, (self, other), backward)
         return out
@@ -206,7 +226,8 @@ class Tensor:
 
         def backward():
             if self.requires_grad:
-                self._accumulate(out.grad * c * self.data ** (c - 1.0))
+                self._accumulate(out.grad * c * self.data ** (c - 1.0),
+                                 owned=True)
 
         out = Tensor._from_op(out_data, (self,), backward)
         return out
@@ -218,10 +239,10 @@ class Tensor:
         def backward():
             if self.requires_grad:
                 g = out.grad @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(g, self.shape))
+                self._accumulate(_unbroadcast(g, self.shape), owned=True)
             if other.requires_grad:
                 g = np.swapaxes(self.data, -1, -2) @ out.grad
-                other._accumulate(_unbroadcast(g, other.shape))
+                other._accumulate(_unbroadcast(g, other.shape), owned=True)
 
         out = Tensor._from_op(out_data, (self, other), backward)
         return out
@@ -269,7 +290,7 @@ class Tensor:
 
         def backward():
             if self.requires_grad:
-                self._accumulate(out.grad * out_data)
+                self._accumulate(out.grad * out_data, owned=True)
 
         out = Tensor._from_op(out_data, (self,), backward)
         return out
@@ -279,7 +300,9 @@ class Tensor:
 
         def backward():
             if self.requires_grad:
-                self._accumulate(out.grad * out_data * (1.0 - out_data))
+                g = out.grad * out_data
+                g *= 1.0 - out_data
+                self._accumulate(g, owned=True)
 
         out = Tensor._from_op(out_data, (self,), backward)
         return out
@@ -291,8 +314,13 @@ class Tensor:
 
         def backward():
             if self.requires_grad:
-                self._accumulate(
-                    out.grad * sig * (1.0 + self.data * (1.0 - sig)))
+                # out.grad * sig * (1 + x * (1 - sig)), in two buffers
+                slope = 1.0 - sig
+                slope *= self.data
+                slope += 1.0
+                g = out.grad * sig
+                g *= slope
+                self._accumulate(g, owned=True)
 
         out = Tensor._from_op(out_data, (self,), backward)
         return out
@@ -302,7 +330,9 @@ class Tensor:
 
         def backward():
             if self.requires_grad:
-                self._accumulate(out.grad * np.sign(self.data))
+                g = np.sign(self.data)
+                g *= out.grad
+                self._accumulate(g, owned=True)
 
         out = Tensor._from_op(out_data, (self,), backward)
         return out
@@ -315,12 +345,17 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1,
            padding: int = 1) -> Tensor:
     """NCHW cross-correlation with an (F, C, K, K) kernel, no bias.
 
-    The padded input is split once into ``stride**2`` phase images of
-    width ``wq`` plus a spare row, with the batch flattened into each
-    channel's row.  Outputs are computed in rows of width ``wq``, so tap
-    ``(i, j)`` is a GEMM on the contiguous slice of phase ``(i % stride,
-    j % stride)`` at ``(i // stride) * wq + j // stride``; outputs that
-    wrap a row or an image are dropped and get zero gradient.
+    A 1x1 kernel at stride 1 without padding is one batched GEMM over
+    the flattened pixels.  Otherwise the padded input is split once into
+    ``stride**2`` phase images of width ``wq`` plus a spare row, with
+    the batch flattened into each channel's row.  Outputs are computed
+    in rows of width ``wq``, so tap ``(i, j)`` is a GEMM on the
+    contiguous slice of phase ``(i % stride, j % stride)`` at ``(i //
+    stride) * wq + j // stride``; outputs that wrap a row or an image
+    are dropped and get zero gradient.  The input gradient is the same
+    tap sum over the output gradient, shifted back by each offset.  Both
+    run over blocks of whole images that fit in L2, and each block is
+    written straight into its NCHW result.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError("conv2d expects NCHW input and FCKK weight")
@@ -333,59 +368,129 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1,
     if c != c_w or k != k2:
         raise ValueError(
             f"weight {weight.shape} incompatible with input {x.shape}")
+    if k == 1 and stride == 1 and padding == 0:
+        return _pointwise_conv(x, weight)
     s, p = stride, padding
     h_out = (h + 2 * p - k) // s + 1
     w_out = (w + 2 * p - k) // s + 1
     if h_out < 1 or w_out < 1:
         raise ValueError("kernel does not fit the padded input")
     hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
-    span = n * (hq + 1) * wq
-    x_pad = np.zeros((c, n, (hq + 1) * s, wq * s))
-    x_pad[:, :, p:p + h, p:p + w] = x.data.transpose(1, 0, 2, 3)
-    # for stride 1 the phase split is a no-copy view
-    phases = np.ascontiguousarray(x_pad.reshape(
-        c, n, hq + 1, s, wq, s).transpose(3, 5, 0, 1, 2, 4)).reshape(
-            s * s, c, span)
-    cols = span - ((k - 1) // s) * (wq + 1)  # room for the farthest tap
+    img = (hq + 1) * wq  # wide columns per image
+    span = n * img
+    # phase (a, b) holds rows a, a + s, ... and columns b, b + s, ... of
+    # the padded input; ``windows`` maps its part inside the input to
+    # the input's rows and columns
+    windows = [(_phase_window(a, p, s, h), _phase_window(b, p, s, w))
+               for a in range(s) for b in range(s)]
+    phases = np.empty((s * s, c, span))
+    for ph, ((ys, y_in), (xs, x_in)) in enumerate(windows):
+        ph_grid = phases[ph].reshape(c, n, hq + 1, wq)
+        ph_grid[:, :, :ys.start] = 0.0
+        ph_grid[:, :, ys.stop:] = 0.0
+        ph_grid[:, :, ys, :xs.start] = 0.0
+        ph_grid[:, :, ys, xs.stop:] = 0.0
+        ph_grid[:, :, ys, xs] = x.data[:, :, y_in, x_in].transpose(
+            1, 0, 2, 3)
+    reach = ((k - 1) // s) * (wq + 1)  # offset of the farthest tap
+    cols = span - reach
     taps = [((i % s) * s + j % s, (i // s) * wq + j // s, i, j)
             for i in range(k) for j in range(k)]
 
-    def nchw(wide):
-        return wide.reshape(-1, n, hq + 1, wq)[:, :, :h_out, :w_out] \
+    def grid(wide, images):
+        return wide[:, :images * img].reshape(-1, images, hq + 1, wq)
+
+    # whole images per block, as many as keep a block in L2
+    per = min(n, max(1, _L2_BYTES // (16 * (f + c) * img)))
+    blocks = [(b, min(b + per, n)) for b in range(0, n, per)]
+
+    terms = [(weight.data[:, :, i, j], phases[ph], off)
+             for ph, off, i, j in taps]
+    out_data = np.empty((n, f, h_out, w_out))
+    wide = np.empty((f, per * img))
+    tmp = np.empty((f, per * img))
+    for b0, b1 in blocks:
+        # columns from ``cols`` on are left unwritten; they all wrap
+        lo, hi = b0 * img, min(b1 * img, cols)
+        _tap_sum(wide[:, :hi - lo], terms, lo, hi, tmp)
+        out_data[b0:b1] = grid(wide, b1 - b0)[:, :, :h_out, :w_out] \
             .transpose(1, 0, 2, 3)
 
-    step = max(1, _L2_BYTES // (16 * (f + c)))  # a block stays in L2
-    blocks = [(lo, min(lo + step, cols)) for lo in range(0, cols, step)]
+    def backward():
+        # out.grad in wide rows, after ``reach`` zero columns that the
+        # first image's input gradient reads
+        g_wide = np.empty((f, reach + span))
+        g_wide[:, :reach] = 0.0
+        g_grid = grid(g_wide[:, reach:], n)
+        g_grid[:, :, h_out:] = 0.0
+        g_grid[:, :, :h_out, w_out:] = 0.0
+        g_grid[:, :, :h_out, :w_out] = out.grad.transpose(1, 0, 2, 3)
+        dw = np.zeros(weight.shape)
+        if x.requires_grad:
+            dx = np.empty(x.shape)
+            d_wide = np.empty((s * s, c, per * img))
+            tmp = np.empty((c, per * img))
+            d_terms = [[(weight.data[:, :, i, j].T, g_wide, reach - off)
+                        for tap_ph, off, i, j in taps if tap_ph == ph]
+                       for ph in range(s * s)]
+        for b0, b1 in blocks:
+            lo, hi = b0 * img, b1 * img
+            if weight.requires_grad:
+                hi_w = min(hi, cols)
+                g = g_wide[:, reach + lo:reach + hi_w]
+                for ph, off, i, j in taps:
+                    dw[:, :, i, j] += g @ phases[ph, :, lo + off:hi_w + off].T
+            if x.requires_grad:
+                for ph, ph_terms in enumerate(d_terms):
+                    if ph_terms:
+                        _tap_sum(d_wide[ph, :, :hi - lo], ph_terms, lo, hi, tmp)
+                    else:  # a phase that no tap reads
+                        d_wide[ph, :, :hi - lo] = 0.0
+                for ph, ((ys, y_in), (xs, x_in)) in enumerate(windows):
+                    dx[b0:b1, :, y_in, x_in] = grid(
+                        d_wide[ph], b1 - b0)[:, :, ys, xs].transpose(1, 0, 2, 3)
+        if weight.requires_grad:
+            weight._accumulate(dw, owned=True)
+        if x.requires_grad:
+            x._accumulate(dx, owned=True)
 
-    out_wide = np.zeros((f, span))
-    tmp = np.empty((f, min(step, cols)))
-    for lo, hi in blocks:
-        for ph, off, i, j in taps:
-            out_wide[:, lo:hi] += np.matmul(
-                weight.data[:, :, i, j], phases[ph, :, lo + off:hi + off],
-                out=tmp[:, :hi - lo])
-    out_data = np.ascontiguousarray(nchw(out_wide))
+    out = Tensor._from_op(out_data, (x, weight), backward)
+    return out
+
+
+def _phase_window(a: int, p: int, s: int, size: int) -> tuple[slice, slice]:
+    """Where padded positions ``a, a + s, ...`` fall inside an input
+    axis of ``size`` after ``p`` padding: (phase slice, input slice)."""
+    first = max(0, -(-(p - a) // s))
+    start = first * s + a - p
+    count = max(0, -(-(size - start) // s))
+    return slice(first, first + count), slice(start, size, s)
+
+
+def _tap_sum(out, terms, lo, hi, tmp):
+    """``out = sum(m @ src[:, lo + shift:hi + shift])`` over ``terms``."""
+    (m, src, shift), *rest = terms
+    np.matmul(m, src[:, lo + shift:hi + shift], out=out)
+    for m, src, shift in rest:
+        out += np.matmul(m, src[:, lo + shift:hi + shift],
+                         out=tmp[:, :hi - lo])
+
+
+def _pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:
+    """1x1 conv at stride 1 without padding: ``W @ x`` per image."""
+    n, c, h, w = x.shape
+    f = weight.shape[0]
+    w2 = weight.data[:, :, 0, 0]
+    x3 = x.data.reshape(n, c, h * w)
+    out_data = (w2 @ x3).reshape(n, f, h, w)
 
     def backward():
-        g_wide = np.zeros((f, span))
-        nchw(g_wide)[...] = out.grad
-        dw = np.zeros(weight.shape)
-        d_phases = np.zeros_like(phases) if x.requires_grad else None
-        tmp = np.empty((c, min(step, cols)))
-        for lo, hi in blocks:
-            g = g_wide[:, lo:hi]
-            for ph, off, i, j in taps:
-                if weight.requires_grad:
-                    dw[:, :, i, j] += g @ phases[ph, :, lo + off:hi + off].T
-                if x.requires_grad:
-                    d_phases[ph, :, lo + off:hi + off] += np.matmul(
-                        weight.data[:, :, i, j].T, g, out=tmp[:, :hi - lo])
+        g = out.grad.reshape(n, f, h * w)
         if weight.requires_grad:
-            weight._accumulate(dw)
+            dw = (g @ x3.transpose(0, 2, 1)).sum(axis=0)
+            weight._accumulate(dw.reshape(weight.shape), owned=True)
         if x.requires_grad:
-            dx_pad = d_phases.reshape(s, s, c, n, hq + 1, wq).transpose(
-                2, 3, 4, 0, 5, 1).reshape(c, n, (hq + 1) * s, wq * s)
-            x._accumulate(dx_pad[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3))
+            x._accumulate((w2.T @ g).reshape(x.shape), owned=True)
 
     out = Tensor._from_op(out_data, (x, weight), backward)
     return out
@@ -401,24 +506,39 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     n, c = x.shape[:2]
     grouped = x.data.reshape(n, groups, -1)
     centred = grouped - grouped.mean(axis=2, keepdims=True)
-    rstd = (np.mean(centred ** 2, axis=2, keepdims=True) + eps) ** -0.5
-    x_hat = (centred * rstd).reshape(n, c, -1)
-    out_data = (x_hat * gamma.data[:, None] + beta.data[:, None]).reshape(
-        x.shape)
+    # one buffer holds the squares, then the output
+    buf = np.multiply(centred, centred)
+    rstd = (np.mean(buf, axis=2, keepdims=True) + eps) ** -0.5
+    centred *= rstd
+    x_hat = centred.reshape(n, c, -1)
+    out_data = np.multiply(x_hat, gamma.data[:, None],
+                           out=buf.reshape(n, c, -1))
+    out_data += beta.data[:, None]
+    out_data = out_data.reshape(x.shape)
 
     def backward():
         g = out.grad.reshape(n, c, -1)
+        # every reduction below comes from these per-channel sums
+        g_sum = g.sum(axis=2)
+        g_xh = np.einsum("ncs,ncs->nc", g, x_hat)
         if gamma.requires_grad:
-            gamma._accumulate(np.einsum("ncs,ncs->c", g, x_hat))
+            gamma._accumulate(g_xh.sum(axis=0), owned=True)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 2)))
+            beta._accumulate(g_sum.sum(axis=0), owned=True)
         if x.requires_grad:
+            size = g.shape[2] * (c // groups)  # values per group
+
+            def group_mean(sums):
+                return (sums * gamma.data).reshape(n, groups, -1).sum(
+                    axis=2, keepdims=True) / size
+
             d = (g * gamma.data[:, None]).reshape(n, groups, -1)
-            xh = x_hat.reshape(n, groups, -1)
-            d_mean = d.mean(axis=2, keepdims=True)
-            d -= d_mean + xh * np.mean(d * xh, axis=2, keepdims=True)
+            # x_hat * mean(d * x_hat) + mean(d), built in one buffer
+            t = np.multiply(x_hat.reshape(n, groups, -1), group_mean(g_xh))
+            t += group_mean(g_sum)
+            d -= t
             d *= rstd
-            x._accumulate(d.reshape(x.shape))
+            x._accumulate(d.reshape(x.shape), owned=True)
 
     out = Tensor._from_op(out_data, (x, gamma, beta), backward)
     return out
@@ -436,7 +556,7 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
         if x.requires_grad:
             g = out.grad / (kernel * kernel)
             g = np.repeat(np.repeat(g, kernel, axis=2), kernel, axis=3)
-            x._accumulate(g)
+            x._accumulate(g, owned=True)
 
     out = Tensor._from_op(out_data, (x,), backward)
     return out
@@ -444,15 +564,29 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     """Repeat each pixel ``factor`` times along both spatial axes."""
-    n, c, h, w = x.shape
     out_data = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
 
     def backward():
         if x.requires_grad:
-            g = out.grad.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5))
-            x._accumulate(g)
+            g = _strided_sum(_strided_sum(out.grad, factor, 3), factor, 2)
+            x._accumulate(g, owned=True)
 
     out = Tensor._from_op(out_data, (x,), backward)
+    return out
+
+
+def _strided_sum(a: np.ndarray, factor: int, axis: int) -> np.ndarray:
+    """Fresh sum of ``a``'s ``factor`` interleaved slices along ``axis``.
+
+    Adds the slices in order, as numpy's reduction over a split axis
+    does, but with no strided reduction loop.
+    """
+    index = [slice(None)] * a.ndim
+    index[axis] = slice(0, None, factor)
+    out = a[tuple(index)].copy()
+    for j in range(1, factor):
+        index[axis] = slice(j, None, factor)
+        out += a[tuple(index)]
     return out
 
 

@@ -4,7 +4,9 @@ Everything here is written for clarity, not speed: full 2^n x 2^n gate
 matrices assembled element by element, applied by plain matmul, and
 convolution one output at a time.  None of it shares code with the
 package under test, except that the GroupNorm oracle is composed of the
-package's elementary autodiff ops rather than its single-node op.
+package's elementary autodiff ops rather than its single-node op, and
+the SSIM oracle takes its window means through the package's conv2d,
+which is itself checked against ``naive_conv``.
 """
 
 import numpy as np
@@ -248,6 +250,54 @@ def group_norm_oracle(x, gamma, beta, groups, eps=1e-5):
     normed = centred * (var + eps) ** -0.5
     normed = normed.reshape(n, c, h, w)
     return normed * gamma.reshape(1, c, 1, 1) + beta.reshape(1, c, 1, 1)
+
+
+def windowed_ssim_oracle(x, y, window=8, stride=4, data_range=1.0):
+    """Mean windowed SSIM with window means from a depthwise conv2d."""
+    from qlatent.tensor import Tensor, conv2d
+
+    n, c, h, w = x.shape
+    c1 = (0.01 * data_range) ** 2
+    c2 = (0.03 * data_range) ** 2
+    kernel = Tensor(np.full((1, 1, window, window), 1.0 / window ** 2))
+
+    def wmean(t):
+        flat = t.reshape(n * c, 1, h, w)
+        return conv2d(flat, kernel, stride=stride, padding=0)
+
+    mu_x = wmean(x)
+    mu_y = wmean(y)
+    xx = wmean(x * x) - mu_x * mu_x
+    yy = wmean(y * y) - mu_y * mu_y
+    xy = wmean(x * y) - mu_x * mu_y
+    numer = (2.0 * mu_x * mu_y + c1) * (2.0 * xy + c2)
+    denom = (mu_x * mu_x + mu_y * mu_y + c1) * (xx + yy + c2)
+    return (numer / denom).mean()
+
+
+class LoopAdam:
+    """Adam with one moment array per parameter, updated one by one."""
+
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+        self.params = list(params)
+        self.lr, self.betas, self.eps = lr, betas, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        grads = [np.zeros_like(p.data) if p.grad is None else p.grad
+                 for p in self.params]
+        self.t += 1
+        b1, b2 = self.betas
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def numeric_grad(fn, x, h=1e-6):

@@ -11,10 +11,11 @@ from qlatent.tensor import (
     avg_pool2d,
     concat,
     conv2d,
+    group_norm,
     no_grad,
     upsample_nearest,
 )
-from qlatent.vae import VAE, VAEConfig
+from qlatent.vae import VAE, VAEConfig, windowed_ssim
 
 
 def test_add_mul_broadcast():
@@ -92,6 +93,60 @@ def test_first_gradient_is_a_contiguous_copy():
     assert a.grad.flags.c_contiguous and not np.shares_memory(a.grad, g)
     np.testing.assert_array_equal(g, np.arange(6.0).reshape(3, 2).T)
     np.testing.assert_array_equal(a.grad, 2 * g)
+
+
+def test_no_gradient_aliases_another_gradient_or_any_data(monkeypatch):
+    # each op gets inputs of its own and runs twice on them, and the loss
+    # adds both outputs: each input's first gradient comes from that op,
+    # and the second one is added into it
+    rng = np.random.default_rng(12)
+    made = []
+    from_op = Tensor.__dict__["_from_op"].__func__
+
+    def keeping_from_op(data, parents, backward_fn):
+        made.append(from_op(data, parents, backward_fn))
+        return made[-1]
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(keeping_from_op))
+    cases = [
+        (lambda x, b: x + b, [(1, 4, 1, 1)]),
+        (lambda x, b: x * b, [(1, 4, 1, 1)]),
+        (lambda x: x ** 3.0, []),
+        (lambda x, m: x @ m, [(8, 8)]),
+        (lambda x: x.sum(axis=1), []),
+        (lambda x: x.mean(), []),
+        (lambda x: x.reshape(8, 64), []),
+        (lambda x: x.exp(), []),
+        (lambda x: x.sigmoid(), []),
+        (lambda x: x.silu(), []),
+        (lambda x: x.abs(), []),
+        (lambda x, w: conv2d(x, w), [(4, 4, 3, 3)]),
+        (lambda x, w: conv2d(x, w, stride=2), [(4, 4, 3, 3)]),
+        (lambda x, w: conv2d(x, w, padding=0), [(4, 4, 1, 1)]),
+        (lambda x, g, b: group_norm(x, g, b, 2, 1e-5), [(4,), (4,)]),
+        (lambda x: avg_pool2d(x, 2), []),
+        (lambda x: upsample_nearest(x, 2), []),
+        (lambda x, y: concat([x, y]), [(2, 4, 8, 8)]),
+        (lambda x, y: windowed_ssim(x, y, 4, 2), [(2, 4, 8, 8)]),
+    ]
+    leaves, loss = [], None
+    for op, shapes in cases:
+        args = [Tensor(rng.uniform(0.1, 0.9, shape), requires_grad=True)
+                for shape in [(2, 4, 8, 8)] + shapes]
+        leaves += args
+        for _ in range(2):
+            out = op(*args)
+            term = (out * Tensor(rng.normal(size=out.shape))).sum()
+            loss = term if loss is None else loss + term
+    loss.backward()
+    tensors = leaves + made
+    grads = [t.grad for t in tensors]
+    assert all(g is not None for g in grads)
+    for i, g in enumerate(grads):
+        for other in grads[i + 1:]:
+            assert not np.shares_memory(g, other)
+        for t in tensors:
+            assert not np.shares_memory(g, t.data)
 
 
 def test_reductions_and_reshape():
@@ -184,6 +239,44 @@ def test_conv2d_shapes_match_naive_and_central_differences(
         [x, w] if weight_grad else [x], rtol=1e-6, atol=1e-8)
     if not weight_grad:
         assert w.grad is None
+
+
+@pytest.mark.parametrize("x_shape, f", [((16, 8, 32, 32), 16),
+                                        ((16, 16, 8, 8), 4)],
+                         ids=["skip-8to16", "latent-16to4"])
+def test_pointwise_conv_matches_naive_and_central_differences(x_shape, f):
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=(f, x_shape[1], 1, 1)), requires_grad=True)
+    got = conv2d(x, w, stride=1, padding=0)
+    np.testing.assert_allclose(got.data, _naive_conv(x.data, w.data, 1, 0),
+                               rtol=0, atol=1e-12)
+    upstream = Tensor(rng.normal(size=got.shape))
+
+    def loss():
+        return (conv2d(x, w, stride=1, padding=0) * upstream).sum()
+
+    loss().backward()
+    # the loss is linear in each input, so central differences are exact
+    # up to rounding
+    for t in (x, w):
+        idx, want = _sampled_central_differences(loss, t, rng)
+        np.testing.assert_allclose(t.grad.reshape(-1)[idx], want,
+                                   rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("stride, padding", [(2, 0), (1, 1), (2, 1)])
+def test_strided_or_padded_1x1_conv_matches_naive(stride, padding):
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(2, 3, 6, 7)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3, 1, 1)), requires_grad=True)
+    got = conv2d(x, w, stride=stride, padding=padding)
+    np.testing.assert_allclose(
+        got.data, _naive_conv(x.data, w.data, stride, padding), atol=1e-12)
+    upstream = Tensor(rng.normal(size=got.shape))
+    check_grads(
+        lambda: (conv2d(x, w, stride=stride, padding=padding)
+                 * upstream).sum(), [x, w], rtol=1e-6, atol=1e-8)
 
 
 def test_no_grad_records_no_graph_and_restores(monkeypatch):

@@ -45,6 +45,17 @@ def test_bad_ini_rejected(tmp_path):
         load_config_file(path)
 
 
+def test_parse_errors_name_the_files_own_lines(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("epochs = 1\nlayers\nquantum = true\n")
+    with pytest.raises(ValueError, match=r"line 2: 'layers") as info:
+        load_config_file(path)
+    assert "line 3" not in str(info.value)
+    path.write_text("epochs = 1\n# again below\nepochs = 2\n")
+    with pytest.raises(ValueError, match=r"line 3 sets 'epochs' again"):
+        load_config_file(path)
+
+
 def test_parse_overrides():
     assert parse_overrides(["a=1", "b = two "]) == {"a": "1", "b": "two"}
     with pytest.raises(ValueError, match="key=value"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import LoopAdam
 from qlatent.optim import Adam
 from qlatent.tensor import Tensor
 
@@ -28,6 +29,47 @@ def test_adam_matches_reference_updates():
         ref_p, m, v = reference_adam_step(
             ref_p, g, m, v, t, 0.01, 0.9, 0.999, 1e-8)
         np.testing.assert_allclose(param.data, ref_p, atol=1e-14)
+
+
+def test_flat_update_equals_per_parameter_loop():
+    rng = np.random.default_rng(1)
+    shapes = [(4, 3), (5,), (2, 1, 3, 3), (1,), (6, 2)]
+    ours = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    ref = [Tensor(p.data.copy(), requires_grad=True) for p in ours]
+    opt, ref_opt = Adam(ours, lr=0.02), LoopAdam(ref, lr=0.02)
+    for step in range(5):
+        for i, (a, b) in enumerate(zip(ours, ref)):
+            # parameter 2 gets no gradient on steps 1 and 3
+            g = None if i == 2 and step % 2 else rng.normal(size=a.shape)
+            a.grad = b.grad = g
+        opt.step()
+        ref_opt.step()
+        for a, b in zip(ours, ref):
+            assert np.array_equal(a.data, b.data)
+    assert np.array_equal(opt._m, np.concatenate(
+        [m.reshape(-1) for m in ref_opt.m]))
+    assert np.array_equal(opt._v, np.concatenate(
+        [v.reshape(-1) for v in ref_opt.v]))
+
+
+def test_nonfinite_gradient_names_its_parameter_and_changes_nothing():
+    rng = np.random.default_rng(2)
+    params = [Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+              for _ in range(5)]
+    opt = Adam(params, lr=0.1)
+    for p in params:
+        p.grad = rng.normal(size=p.shape)
+    opt.step()
+    before = [p.data.copy() for p in params]
+    m, v = opt._m.copy(), opt._v.copy()
+    params[3].grad[1, 0] = np.nan
+    params[4].grad[0, 0] = np.inf
+    with pytest.raises(ValueError, match="parameter 3;"):
+        opt.step()
+    assert opt.t == 1
+    assert np.array_equal(opt._m, m) and np.array_equal(opt._v, v)
+    for p, b in zip(params, before):
+        assert np.array_equal(p.data, b)
 
 
 def test_first_step_magnitude_is_learning_rate():

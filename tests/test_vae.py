@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import check_grads
+from oracles import check_grads, record_graph_nodes, windowed_ssim_oracle
 from qlatent.layers import QResBlock, ResBlock
 from qlatent.optim import Adam
 from qlatent.tensor import Tensor
@@ -117,6 +117,37 @@ def test_windowed_ssim_bounds_and_symmetry():
         windowed_ssim(Tensor(x[:, :, :4, :4]), Tensor(y[:, :, :4, :4]))
 
 
+@pytest.mark.parametrize("shape", [
+    (16, 3, 64, 64), (2, 3, 16, 16), (1, 1, 8, 8), (2, 3, 18, 18)],
+    ids=["vae-batch", "small", "one-window", "uncovered-edge"])
+def test_windowed_ssim_matches_conv_oracle_values_and_gradients(shape):
+    # at 18x18 three windows fit a side, so the last 2 rows and columns
+    # are in no window and get zero gradient
+    rng = np.random.default_rng(11)
+    x_data = rng.uniform(0, 1, shape)
+    y_data = np.clip(x_data + rng.normal(0, 0.2, shape), 0, 1)
+    grads = []
+    for fn in (windowed_ssim, windowed_ssim_oracle):
+        x = Tensor(x_data, requires_grad=True)
+        y = Tensor(y_data, requires_grad=True)
+        val = fn(x, y)
+        val.backward()
+        grads.append((val.item(), x.grad, y.grad))
+    (got, gx, gy), (want, wx, wy) = grads
+    assert abs(got - want) < 1e-12
+    np.testing.assert_allclose(gx, wx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gy, wy, rtol=0, atol=1e-12)
+    if shape[-1] == 18:
+        assert not gx[..., 16:, :].any() and not gx[..., :, 16:].any()
+
+
+@pytest.mark.parametrize("window, stride", [(8, 3), (6, 4), (2, 4), (8, 0)])
+def test_windowed_ssim_window_must_be_a_multiple_of_stride(window, stride):
+    x = Tensor(np.full((1, 1, 16, 16), 0.5))
+    with pytest.raises(ValueError, match="multiple of stride"):
+        windowed_ssim(x, x, window=window, stride=stride)
+
+
 def test_windowed_ssim_gradients():
     rng = np.random.default_rng(3)
     x = Tensor(rng.uniform(0.2, 0.8, (1, 1, 8, 8)), requires_grad=True)
@@ -155,6 +186,20 @@ def test_vae_training_reduces_loss():
               for _ in range(25)]
     assert losses[-1] < losses[0]
     assert np.mean(losses[-5:]) < np.mean(losses[:5])
+
+
+def test_train_step_graph_is_no_larger_than_with_conv_window_means(
+        monkeypatch):
+    # with SSIM window means as reshape + conv2d nodes, this step made
+    # 181 graph nodes
+    cfg = VAEConfig(image_size=16, base_channels=8, quantum=True,
+                    q_qubits=3, q_layers=1)
+    model = VAE(cfg, seed=0)
+    opt = Adam(model.parameters(), lr=1e-3)
+    rng = np.random.default_rng(8)
+    recorded = record_graph_nodes(monkeypatch)
+    vae_train_step(model, opt, rng.uniform(0, 1, (2, 3, 16, 16)), rng)
+    assert sum(recorded) <= 181
 
 
 def test_quantum_vae_trains():
