@@ -111,15 +111,6 @@ def first_param_gradient_samples(circuit: Circuit, samples: int, seed: int,
     return (e[:samples] - e[samples:]) / 2.0
 
 
-def gradient_variance(spec: AnsatzSpec, samples: int, seed: int) -> float:
-    """Var over random angles of the first parameter's <Z_0> gradient."""
-    if samples < 30:
-        raise ValueError(f"need >= 30 samples for a variance, got {samples}")
-    circuit = build_ansatz(spec, np.zeros(param_count(spec)))
-    g = first_param_gradient_samples(circuit, samples, seed)
-    return float(np.var(g, ddof=1))
-
-
 def variance_stderr(grads: np.ndarray) -> float:
     """Standard error of the sample variance (moment-based estimate)."""
     n = grads.size

@@ -138,15 +138,7 @@ def _draw_paulis(circuit: Circuit, noise: NoiseModel, rows: int,
     codes = np.zeros(hit.shape, dtype=np.intp)
     codes[hit] = rng.integers(
         1, np.broadcast_to(np.where(two, 16, 4)[:, None], hit.shape)[hit])
-    paulis = {}
-    for i in np.flatnonzero(hit.any(axis=1)):
-        targets = circuit.ops[i].targets
-        if two[i]:
-            pairs = ((targets[0], codes[i] >> 2), (targets[1], codes[i] & 3))
-            paulis[int(i)] = [(q, c) for q, c in pairs if c.any()]
-        else:
-            paulis[int(i)] = [(targets[0], codes[i])]
-    return paulis
+    return {int(i): codes[i] for i in np.flatnonzero(hit.any(axis=1))}
 
 
 def _flip_readout(counts: np.ndarray, alpha: float,

@@ -16,10 +16,11 @@ per qubit in a block (a second gate on a qubit starts a new run); runs
 of gates with per-row angles on distinct qubits as per-row Kronecker
 blocks on the same windows, one batched matmul each on a rows-first copy
 of the state; each CNOT/CZ/SWAP run as one index gather and sign mask.
-A Pauli-code insertion gathers only the rows it hits, applies the Paulis
-to them and scatters them back.  A circuit of only RY, CNOT, CZ and
-SWAP, run without Pauli codes, stays in float64.  Callers see (k, 2**n)
-complex128 amplitudes.
+Pauli codes run the same plan: after a one-qubit op they follow its
+stage, and after a CNOT/CZ/SWAP its run, moved through the run's later
+gates by the tableau rules (Aaronson & Gottesman 2004), on the rows they
+hit.  A circuit of only RY, CNOT, CZ and SWAP, run without Pauli codes,
+stays in float64.  Callers see (k, 2**n) complex128 amplitudes.
 """
 
 from __future__ import annotations
@@ -110,10 +111,9 @@ class Circuit:
         if other.n_qubits != self.n_qubits:
             raise SimulationError("qubit count mismatch in circuit composition")
         shift = len(self.ops)
-        out = Circuit(self.n_qubits, list(self.ops) + list(other.ops),
-                      list(self.param_slots)
-                      + [(i + shift, a) for i, a in other.param_slots])
-        return out
+        return Circuit(self.n_qubits, list(self.ops) + list(other.ops),
+                       list(self.param_slots)
+                       + [(i + shift, a) for i, a in other.param_slots])
 
 
 class StateVector:
@@ -238,22 +238,45 @@ def _permutation(n: int, gates) -> tuple:
             neg if neg.any() else None)
 
 
-def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
+def _frame(n: int, targets, later) -> tuple:
+    """(16, n) per-qubit codes and (16,) signs that two-qubit code c (c >>
+    2 on targets[0], c & 3 on targets[1]) becomes past the CNOT/CZ/SWAP
+    ``later``, by the tableau rules with x/z bits and sign bit r."""
+    x, z = np.zeros((2, 16, n), dtype=bool)
+    for q, codes in zip(targets, (np.arange(16) >> 2, np.arange(16) & 3)):
+        x[:, q], z[:, q] = (codes == 1) | (codes == 2), codes >= 2
+    r = np.zeros(16, dtype=bool)
+    for kind, (a, b) in later:  # CNOT: control a
+        if kind == "CNOT":
+            r ^= x[:, a] & z[:, b] & ~(x[:, b] ^ z[:, a])
+            x[:, b] ^= x[:, a]
+            z[:, a] ^= z[:, b]
+        elif kind == "CZ":
+            r ^= x[:, a] & x[:, b] & (z[:, a] ^ z[:, b])
+            z[:, a] ^= x[:, b]
+            z[:, b] ^= x[:, a]
+        else:
+            x[:, [a, b]], z[:, [a, b]] = x[:, [b, a]], z[:, [b, a]]
+    return np.where(x, 1 + z, 3 * z), np.where(r, -1.0, 1.0)
+
+
+def _compile(n, structure, slots, n_shared) -> SimpleNamespace:
     """Compile ops given as (kind, targets) pairs into a plan of stages.
 
     One-qubit op g is 'uni' when no per-row slot binds an angle of it, so
     its angles are the same for every row (the last ``n_shared`` slots
     are shared).  Angles index [params columns; vals] for row ops and
     vals = [shared; fixed angles] for uni ops.  Each qubit's first op
-    before any two-qubit gate or Pauli code goes into the product state;
-    then uni runs become blocks and runs of row ops ``rows`` stages,
-    each with at most one op per qubit (a second op on a qubit, or an op
-    of the other sort, starts a new run) and split into the same
-    windows; CNOT/CZ/SWAP runs become permutations, and Pauli codes
-    follow the ops in ``breaks``.
+    before any two-qubit gate goes into the product state; then uni runs
+    become blocks and runs of row ops ``rows`` stages, each with at most
+    one op per qubit (a second op on a qubit, or an op of the other sort,
+    starts a new run) and split into the same windows; CNOT/CZ/SWAP runs
+    become permutations.  Codes after op i follow stage ``stage_of[i]``
+    (-1: the product state), a two-qubit op's through ``frames[i]``.
     """
-    p = SimpleNamespace(n_row=len(slots) - n_shared, blocks=[], stages=[])
-    p.dtype = np.float64 if not breaks and all(
+    p = SimpleNamespace(n_row=len(slots) - n_shared, blocks=[], stages=[],
+                        frames={})
+    p.dtype = np.float64 if all(
         kind in _REAL_KINDS for kind, _ in structure) else np.complex128
     slot_of = {pos: s for s, pos in enumerate(slots)}
     p.fixed = [(i, a) for i, (kind, _) in enumerate(structure)
@@ -274,10 +297,10 @@ def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
                                dtype=np.intp).reshape(-1, 2).T)
     p.product = []  # (qubit, op) for the leading first op of each qubit
     for i, (kind, targets) in enumerate(structure):
-        if kind in TWO_QUBIT_GATES or i in breaks or targets[0] in dict(
-                p.product):
+        if kind in TWO_QUBIT_GATES or targets[0] in dict(p.product):
             break
         p.product.append((targets[0], place[i][0]))
+    p.stage_of = [-1] * len(p.product)
     # qubit -> its one op in the pending uni run / per-row run
     factors, run, row_run, twos = [], {}, {}, []
 
@@ -292,10 +315,12 @@ def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
             yield lo, w, [ops.get(q, p.size) for q in range(lo, lo + w)]
             qs = [q for q in qs if q >= lo + w]
 
-    def flush():
+    def flush(end):  # the pending ops are len(p.stage_of)..end-1
         if twos:
-            p.stages.append(("perm",) + _permutation(
-                n, [structure[i] for i in twos]))
+            gates = [structure[i] for i in twos]
+            p.stages.append(("perm",) + _permutation(n, gates))
+            for j, i in enumerate(twos):
+                p.frames[i] = _frame(n, gates[j][1], gates[j + 1:])
         for lo, w, gs in windows(run):
             p.stages.append(("block", len(p.blocks)))
             p.blocks.append((lo, w, np.arange(len(factors),
@@ -304,6 +329,8 @@ def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
         if row_run:
             p.stages.append(("rows", tuple(row_run.items()), [
                 (lo, w, np.array(gs)) for lo, w, gs in windows(row_run)]))
+        # its stages act on distinct qubits: all codes follow the last
+        p.stage_of += [len(p.stages) - 1] * (end - len(p.stage_of))
         for pending in (twos, run, row_run):
             pending.clear()
 
@@ -311,17 +338,14 @@ def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
         kind, targets = structure[i]
         if kind in TWO_QUBIT_GATES:
             if run or row_run:
-                flush()
+                flush(i)
             twos.append(i)
         else:
             same, other = (run, row_run) if place[i][1] else (row_run, run)
             if twos or other or targets[0] in same:
-                flush()
+                flush(i)
             same[targets[0]] = place[i][0]
-        if i in breaks:
-            flush()
-            p.stages.append(("pauli", i))
-    flush()
+    flush(len(structure))
     p.factor_ops = np.array(factors, dtype=np.intp)  # op of each factor
     by_w = {}
     for b, (_, w, fidx) in enumerate(p.blocks):
@@ -330,9 +354,9 @@ def _compile(n, structure, slots, n_shared, breaks) -> SimpleNamespace:
     return p
 
 
-# Plans of exact runs are reused; runs with Pauli codes compile afresh,
-# because each trajectory batch breaks its runs at other ops.
-_plan = functools.lru_cache(maxsize=64)(_compile)
+# Every run, exact or with Pauli codes, uses its structure's one plan; 128
+# holds all the plans of an ansatz-bench grid pass.
+_plan = functools.lru_cache(maxsize=128)(_compile)
 
 
 def _gate_matrices(kind: str, angles) -> np.ndarray:
@@ -344,7 +368,7 @@ def _gate_matrices(kind: str, angles) -> np.ndarray:
     return _u3(*angles)
 
 
-def _prepare(circuit: Circuit, params, shared, breaks=frozenset()):
+def _prepare(circuit: Circuit, params, shared):
     """The circuit's plan, k, the (2, 2, G + 1, k) matrices of its G
     one-qubit ops and the identity, their angles per ``plan.kinds``
     entry, and the block matrices."""
@@ -355,9 +379,9 @@ def _prepare(circuit: Circuit, params, shared, breaks=frozenset()):
         raise SimulationError(
             f"params shape {params.shape} and {shared.size} shared values "
             f"do not match {circuit.n_params} trainable slots")
-    key = (circuit.n_qubits, tuple((op.kind, op.targets) for op in circuit.ops),
-           tuple(circuit.param_slots), shared.size, breaks)
-    plan = _compile(*key) if breaks else _plan(*key)
+    plan = _plan(circuit.n_qubits,
+                 tuple((op.kind, op.targets) for op in circuit.ops),
+                 tuple(circuit.param_slots), shared.size)
     vals = np.concatenate(
         [shared, [circuit.ops[i].params[a] for i, a in plan.fixed]])
     k = params.shape[0]
@@ -409,6 +433,27 @@ def _apply_rows(psi, tmp, mats, gates, wins):
     return dst, src
 
 
+def _insert_paulis(psi, circuit, plan, paulis, ops) -> None:
+    """Apply the codes of ``ops``, in op order, to the rows of ``psi``
+    that they hit; a two-qubit op's codes go through its frame."""
+    for i in ops:
+        hit = np.flatnonzero(paulis[i])
+        if not hit.size:
+            continue
+        codes, rows = np.asarray(paulis[i])[hit], psi[:, hit]
+        if i in plan.frames:  # a Pauli string and a sign per row
+            strings, signs = (f[codes] for f in plan.frames[i])
+            rows *= signs
+            qubits = np.flatnonzero(strings.any(axis=0))
+            codes = strings[:, qubits].T
+        else:
+            qubits, codes = circuit.ops[i].targets, [codes]
+        tmp = np.empty_like(rows)
+        for q, c in zip(qubits, codes):
+            _apply_1q(rows, tmp, q, _PAULI_STACK[:, :, c])
+        psi[:, hit] = rows
+
+
 def run_circuit_batch(circuit: Circuit, params: np.ndarray,
                       paulis: dict | None = None,
                       shared: np.ndarray | None = None) -> np.ndarray:
@@ -419,39 +464,36 @@ def run_circuit_batch(circuit: Circuit, params: np.ndarray,
     2**n_qubits) complex amplitudes.  The rows run as one rows-last
     state through the circuit's compiled plan.
 
-    ``paulis`` optionally maps an op index to ``(qubit, codes)`` pairs:
-    right after that op, row b gets the Pauli ``codes[b]`` (0 = I,
-    1..3 = X/Y/Z) on ``qubit``.  This is how noise trajectories insert
-    their Pauli errors.  An insertion touches only the rows it hits (a
-    non-zero code); one that hits no row is skipped.
+    ``paulis`` optionally maps an op index to per-row Pauli codes, as
+    noise trajectories insert their errors: right after that op, row b
+    gets c = codes[b] (0..3: I, X, Y, Z) on its target, or on a two-qubit
+    op c >> 2 on targets[0] and c & 3 on targets[1].
     """
-    paulis = paulis or {}
-    plan, k, mats, _, blocks = _prepare(circuit, params, shared,
-                                        frozenset(paulis))
+    plan, k, mats, _, blocks = _prepare(circuit, params, shared)
+    after = {}  # stage -> the ops whose codes follow it, in op order
+    for i in sorted(paulis or ()):
+        after.setdefault(plan.stage_of[i], []).append(i)
     first = {q: mats[:, 0, g] for q, g in plan.product}
-    psi = np.empty((2 ** circuit.n_qubits, k), plan.dtype)
+    psi = np.empty((2 ** circuit.n_qubits, k),
+                   np.complex128 if paulis else plan.dtype)
     psi[0] = 1.0
     for q in range(circuit.n_qubits):  # in place, into rows 2**q..2**(q+1)
         v = first.get(q, ((1.0,), (0.0,)))
         np.multiply(psi[:1 << q], v[1], out=psi[1 << q:2 << q])
         psi[:1 << q] *= v[0]
+    if -1 in after:
+        _insert_paulis(psi, circuit, plan, paulis, after[-1])
     tmp = np.empty_like(psi)
-    for stage in plan.stages:
+    for s, stage in enumerate(plan.stages):
         if stage[0] == "block":
             lo, w, _ = plan.blocks[stage[1]]
             psi, tmp = _apply_block(psi, tmp, lo, w, blocks[stage[1]])
         elif stage[0] == "rows":
             psi, tmp = _apply_rows(psi, tmp, mats, *stage[1:])
-        elif stage[0] == "perm":
-            psi, tmp = _apply_perm(psi, tmp, *stage[1:])
         else:
-            for q, codes in paulis[stage[1]]:
-                hit = np.flatnonzero(codes)
-                if hit.size:
-                    rows = psi[:, hit]
-                    _apply_1q(rows, np.empty_like(rows), q,
-                              _PAULI_STACK[:, :, codes[hit]])
-                    psi[:, hit] = rows
+            psi, tmp = _apply_perm(psi, tmp, *stage[1:])
+        if after and s in after:
+            _insert_paulis(psi, circuit, plan, paulis, after[s])
     del tmp  # so the transposed copy below does not raise peak memory
     return np.ascontiguousarray(psi.T, dtype=np.complex128)
 
@@ -576,8 +618,7 @@ def run_circuit(circuit: Circuit, params=()) -> StateVector:
     if params.shape[1] != circuit.n_params:
         raise SimulationError(
             f"expected {circuit.n_params} params, got {params.shape[1]}")
-    amps = run_circuit_batch(circuit, params)[0]
-    return StateVector(circuit.n_qubits, amps)
+    return StateVector(circuit.n_qubits, run_circuit_batch(circuit, params)[0])
 
 
 def bind_params(circuit: Circuit, params) -> Circuit:
@@ -587,14 +628,9 @@ def bind_params(circuit: Circuit, params) -> Circuit:
         raise SimulationError(
             f"expected {circuit.n_params} params, got {params.size}")
     angles = {pos: params[s] for s, pos in enumerate(circuit.param_slots)}
-    ops = []
-    for i, op in enumerate(circuit.ops):
-        if any((i, a) in angles for a in range(len(op.params))):
-            new = tuple(angles.get((i, a), v) for a, v in enumerate(op.params))
-            ops.append(GateOp(op.kind, op.targets, new))
-        else:
-            ops.append(op)
-    return Circuit(circuit.n_qubits, ops, [])
+    return Circuit(circuit.n_qubits, [GateOp(op.kind, op.targets, tuple(
+        angles.get((i, a), v) for a, v in enumerate(op.params)))
+        for i, op in enumerate(circuit.ops)], [])
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
@@ -683,8 +719,6 @@ def reduced_density_matrix(state: StateVector, keep) -> np.ndarray:
     keep_axes = [n - 1 - q for q in keep]
     other_axes = [ax for ax in range(n) if ax not in keep_axes]
     # order kept axes most-significant-first so the flat index is little-endian
-    perm = sorted(keep_axes) + other_axes
-    psi = np.transpose(psi, perm)
-    m = psi.reshape(2 ** len(keep), -1)
-    rho = m @ m.conj().T
-    return rho
+    m = np.transpose(psi, sorted(keep_axes) + other_axes).reshape(
+        2 ** len(keep), -1)
+    return m @ m.conj().T

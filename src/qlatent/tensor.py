@@ -544,24 +544,6 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     return out
 
 
-def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping mean pooling; spatial dims must divide by kernel."""
-    n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(f"input {h}x{w} not divisible by kernel {kernel}")
-    hk, wk = h // kernel, w // kernel
-    out_data = x.data.reshape(n, c, hk, kernel, wk, kernel).mean(axis=(3, 5))
-
-    def backward():
-        if x.requires_grad:
-            g = out.grad / (kernel * kernel)
-            g = np.repeat(np.repeat(g, kernel, axis=2), kernel, axis=3)
-            x._accumulate(g, owned=True)
-
-    out = Tensor._from_op(out_data, (x,), backward)
-    return out
-
-
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     """Repeat each pixel ``factor`` times along both spatial axes."""
     out_data = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)

@@ -114,6 +114,29 @@ def dense_run(circuit, params=()):
     return dense_circuit_unitary(circuit, params) @ e0
 
 
+def dense_run_with_paulis(circuit, params, paulis, row):
+    """``dense_run`` with row ``row`` of ``paulis`` ({op: per-row codes})
+    applied after their ops: code c on a one-qubit op's target, and on a
+    two-qubit op c >> 2 on targets[0] and c & 3 on targets[1], where 0..3
+    stand for I, X, Y, Z."""
+    mats = [np.eye(2, dtype=np.complex128), _SX, _SY, _SZ]
+    params = np.asarray(params, dtype=np.float64).ravel()
+    angles = {pos: params[s] for s, pos in enumerate(circuit.param_slots)}
+    n = circuit.n_qubits
+    psi = np.zeros(1 << n, dtype=np.complex128)
+    psi[0] = 1.0
+    for i, op in enumerate(circuit.ops):
+        gate_params = [angles.get((i, a), v) for a, v in enumerate(op.params)]
+        psi = dense_gate_unitary(op.kind, op.targets, gate_params, n) @ psi
+        if i in paulis:
+            c = int(paulis[i][row])
+            pairs = ([(op.targets[0], c)] if len(op.targets) == 1 else
+                     [(op.targets[0], c >> 2), (op.targets[1], c & 3)])
+            for q, code in pairs:
+                psi = embed_one_qubit(mats[code], q, n) @ psi
+    return psi
+
+
 def noisy_marginals_oracle(circuit, params, p1, p2, alpha):
     """Per-qubit P(measure 1) under the channel-averaged noise, n <= 5.
 

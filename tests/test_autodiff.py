@@ -8,7 +8,6 @@ from oracles import check_grads, numeric_grad, record_graph_nodes
 from oracles import naive_conv as _naive_conv
 from qlatent.tensor import (
     Tensor,
-    avg_pool2d,
     concat,
     conv2d,
     group_norm,
@@ -124,7 +123,6 @@ def test_no_gradient_aliases_another_gradient_or_any_data(monkeypatch):
         (lambda x, w: conv2d(x, w, stride=2), [(4, 4, 3, 3)]),
         (lambda x, w: conv2d(x, w, padding=0), [(4, 4, 1, 1)]),
         (lambda x, g, b: group_norm(x, g, b, 2, 1e-5), [(4,), (4,)]),
-        (lambda x: avg_pool2d(x, 2), []),
         (lambda x: upsample_nearest(x, 2), []),
         (lambda x, y: concat([x, y]), [(2, 4, 8, 8)]),
         (lambda x, y: windowed_ssim(x, y, 4, 2), [(2, 4, 8, 8)]),
@@ -384,18 +382,6 @@ def test_conv2d_peak_memory_is_a_few_inputs():
         tracemalloc.stop()
     assert x.grad is not None and w.grad is not None
     assert peak <= 10 * x.data.nbytes, peak / x.data.nbytes
-
-
-def test_avg_pool_forward_and_grad():
-    rng = np.random.default_rng(8)
-    x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-    out = avg_pool2d(x, 2)
-    assert out.shape == (2, 3, 2, 2)
-    np.testing.assert_allclose(
-        out.data[0, 0, 0, 0], x.data[0, 0, :2, :2].mean())
-    check_grads(lambda: (avg_pool2d(x, 2) ** 2).sum(), [x])
-    with pytest.raises(ValueError):
-        avg_pool2d(Tensor(np.zeros((1, 1, 5, 5))), 2)
 
 
 def test_global_mean_pool_equivalent():

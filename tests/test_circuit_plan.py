@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dense_gate_unitary, dense_run, embed_one_qubit
+from oracles import dense_run, dense_run_with_paulis
 from qlatent import statevector
 from qlatent.ansatz import (
     AnsatzKind,
@@ -33,9 +33,6 @@ from qlatent.statevector import (
     run_circuit_batch,
 )
 from qlatent.tensor import Tensor
-
-_PAULI_MATS = [np.eye(2), np.array([[0, 1], [1, 0]]),
-               np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
 
 
 def _mixed_circuit(rng, n, n_gates):
@@ -154,9 +151,10 @@ def test_a_second_gate_on_a_qubit_starts_a_new_block():
                                rtol=0, atol=1e-10)
 
 
-def test_pauli_code_inside_a_block_splits_it():
-    # fixed U3 gates on four adjacent qubits would fuse into one block; a
-    # Pauli code right after the gate on qubit 1 must land between them
+def test_pauli_code_inside_a_block_keeps_it_fused():
+    # fixed U3 gates on four adjacent qubits fuse into one block; a Pauli
+    # code right after the gate on qubit 1 commutes with the block's other
+    # gates, so the coded run keeps that one block and the code follows it
     rng = np.random.default_rng(5)
     n, k = 5, 4
     c = Circuit(n)
@@ -168,21 +166,17 @@ def test_pauli_code_inside_a_block_splits_it():
     c.add("RZ", (2,), (0.0,), trainable=True)
     params = rng.uniform(0, 2 * np.pi, (k, c.n_params))
     codes = np.array([1, 2, 3, 0])
-    paulis = {n + 1: [(1, codes)], n + 4: [(0, codes[::-1]), (3, codes)]}
+    paulis = {n + 1: codes, n + 4: 4 * codes[::-1] + codes}
+    statevector._plan.cache_clear()
     got = run_circuit_batch(c, params, paulis)
     for b in range(k):
-        want = dense_run(Circuit(n), ())
-        for i, op in enumerate(bind_params(c, params[b]).ops):
-            want = dense_gate_unitary(op.kind, op.targets, op.params, n) @ want
-            for q, cs in paulis.get(i, ()):
-                want = embed_one_qubit(_PAULI_MATS[cs[b]], q, n) @ want
-        np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-12)
-    # the same circuit without codes fuses the four U3 gates into one block
-    for breaks, blocks in ((frozenset(), [(0, 4)]),
-                           (frozenset(paulis), [(0, 2), (2, 2)])):
-        plan = statevector._compile(*_key(c, 0)[:4], breaks)
-        assert [plan.blocks[st[1]][:2] for st in plan.stages
-                if st[0] == "block"] == blocks
+        np.testing.assert_allclose(
+            got[b], dense_run_with_paulis(c, params[b], paulis, b),
+            rtol=0, atol=1e-12)
+    assert statevector._plan.cache_info().misses == 1
+    plan = statevector._plan(*_key(c, 0))
+    assert [plan.blocks[st[1]][:2] for st in plan.stages
+            if st[0] == "block"] == [(0, 4)]
 
 
 def _row_run_circuit(rng, n, real, n_layers=3):
@@ -298,20 +292,17 @@ def test_per_row_runs_end_at_repeats_shared_ops_and_pauli_codes():
     np.testing.assert_allclose(rows, want[:, :-1], rtol=0, atol=1e-10)
     np.testing.assert_allclose(shared_grad, want[:, -1:].sum(axis=0),
                                rtol=0, atol=1e-10)
-    # a Pauli code after the gate on qubit 3 of the gapped layer splits
-    # that run there, and the trajectory equals the dense one
+    # a Pauli code after the gate on qubit 3 of the gapped layer follows
+    # that layer's rows stage in the same plan, and the trajectory equals
+    # the dense one
     codes = np.array([2, 0, 3])
-    paulis = {n + 3: [(3, codes)]}
-    plan = statevector._compile(*_key(c, 1)[:4], frozenset(paulis))
-    assert _rows_windows(plan)[:2] == [[(0, 4)], [(5, 2)]]
+    paulis = {n + 3: codes}
     got = run_circuit_batch(c, full[:, :-1], paulis, shared=full[0, -1:])
     for b in range(3):
-        want = dense_run(Circuit(n), ())
-        for i, op in enumerate(bind_params(c, full[b]).ops):
-            want = dense_gate_unitary(op.kind, op.targets, op.params, n) @ want
-            for q, cs in paulis.get(i, ()):
-                want = embed_one_qubit(_PAULI_MATS[cs[b]], q, n) @ want
-        np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            got[b], dense_run_with_paulis(c, full[b], paulis, b),
+            rtol=0, atol=1e-12)
+    assert statevector._plan(*_key(c, 1)).stage_of[n + 3] == 1
 
 
 def test_all_per_row_layers_are_one_rows_stage_each():
@@ -385,7 +376,7 @@ def test_one_gate_per_qubit_runs_equal_the_unfused_kernel(monkeypatch,
 
 def _key(circuit, n_shared):
     return (circuit.n_qubits, tuple((op.kind, op.targets) for op in circuit.ops),
-            tuple(circuit.param_slots), n_shared, frozenset())
+            tuple(circuit.param_slots), n_shared)
 
 
 def _shift_gradients(circuit, full, weights):
@@ -445,7 +436,11 @@ def test_plans_are_compiled_once_per_structure():
         run_circuit(bind_params(ansatz, rng.uniform(0, 2 * np.pi,
                                                     ansatz.n_params)))
     assert statevector._plan.cache_info().currsize == 2
-    # trajectory batches break runs at random ops and are not cached
-    sample_noisy(ansatz, rng.uniform(0, 2 * np.pi, ansatz.n_params),
-                 NoiseModel(p1=0.05, p2=0.05, trajectories=10), 100, seed=1)
-    assert statevector._plan.cache_info().currsize == 2
+    # trajectory batches run the cached plan of their structure, whatever
+    # codes they draw: one plan for the first call, none for the second
+    theta = rng.uniform(0, 2 * np.pi, ansatz.n_params)
+    noise = NoiseModel(p1=0.05, p2=0.05, trajectories=10)
+    sample_noisy(ansatz, theta, noise, 100, seed=1)
+    assert statevector._plan.cache_info().currsize == 3
+    sample_noisy(ansatz, theta, noise, 100, seed=2)
+    assert statevector._plan.cache_info().currsize == 3

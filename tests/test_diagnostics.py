@@ -15,7 +15,6 @@ from qlatent.diagnostics import (
     entanglement_entropy_stats,
     first_param_gradient_samples,
     fit_bp_slope,
-    gradient_variance,
     half_partition,
     parameter_shift_gradient,
     run_gv_sweep,
@@ -188,19 +187,6 @@ def test_light_cone_samples_equal_full_circuit_parameter_shift(kind):
                                                      cost_qubit)
                             for t in thetas]
                     np.testing.assert_allclose(g, want, rtol=0, atol=1e-10)
-
-
-def test_gradient_variance_decreases_with_width():
-    var4 = gradient_variance(AnsatzSpec(AnsatzKind.ESE2, 4, 6),
-                             samples=200, seed=0)
-    var8 = gradient_variance(AnsatzSpec(AnsatzKind.ESE2, 8, 6),
-                             samples=200, seed=0)
-    assert var8 < var4
-
-
-def test_gradient_variance_needs_samples():
-    with pytest.raises(ValueError):
-        gradient_variance(AnsatzSpec(AnsatzKind.BE, 2, 1), samples=10, seed=0)
 
 
 def test_variance_stderr_shrinks_with_more_samples():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    dense_circuit_unitary,
     dense_run,
-    embed_one_qubit,
+    dense_run_with_paulis,
     random_circuit,
     reduced_density_oracle,
 )
@@ -116,20 +115,6 @@ def test_batched_execution_matches_loop():
         assert np.abs(batch[i] - single).max() < 1e-12
 
 
-_PAULI_MATS = [np.eye(2), np.array([[0, 1], [1, 0]]),
-               np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
-
-
-def _dense_with_paulis(c, row, paulis, b):
-    """Row b's final state, gate by gate, its Paulis after their ops."""
-    want = dense_run(Circuit(c.n_qubits), ())
-    for i, op in enumerate(bind_params(c, row).ops):
-        want = dense_circuit_unitary(Circuit(c.n_qubits, [op]), ()) @ want
-        for q, codes in paulis.get(i, ()):
-            want = embed_one_qubit(_PAULI_MATS[codes[b]], q, c.n_qubits) @ want
-    return want
-
-
 def test_batched_pauli_insertions_match_dense_oracle():
     # row b gets Pauli codes[b] after the chosen ops; the dense oracle
     # multiplies the same Pauli matrices in between the gate unitaries
@@ -137,11 +122,11 @@ def test_batched_pauli_insertions_match_dense_oracle():
     c = random_circuit(rng, 3, 12)
     k = 4
     params = rng.uniform(0, 2 * np.pi, (k, len(c.param_slots)))
-    paulis = {2: [(0, rng.integers(0, 4, k))],
-              7: [(1, rng.integers(0, 4, k)), (2, rng.integers(0, 4, k))]}
+    paulis = {i: rng.integers(0, 16 if len(c.ops[i].targets) == 2 else 4, k)
+              for i in (2, 7, 8)}
     batch = run_circuit_batch(c, params, paulis)
     for b in range(k):
-        want = _dense_with_paulis(c, params[b], paulis, b)
+        want = dense_run_with_paulis(c, params[b], paulis, b)
         assert np.abs(batch[b] - want).max() < 1e-12
 
 
@@ -205,10 +190,10 @@ def test_pauli_codes_on_a_real_circuit_run_complex():
     c.add("RY", (2,), (0.9,))
     params = rng.uniform(0, 2 * np.pi, (k, c.n_params))
     codes = np.array([2, 0, 2, 1])
-    paulis = {1: [(1, codes)], 4: [(0, codes[::-1])]}
+    paulis = {1: codes, 3: 5 * codes[::-1]}
     got = run_circuit_batch(c, params, paulis)
     for b in range(k):
-        want = _dense_with_paulis(c, params[b], paulis, b)
+        want = dense_run_with_paulis(c, params[b], paulis, b)
         assert np.abs(got[b] - want).max() < 1e-12
     assert got.imag.any()
 
@@ -239,13 +224,40 @@ def test_sparse_pauli_rows_match_dense_oracle():
         sparse[1, [0, 7]] = [1, 3]
         sparse[2, [7, 11]] = [2, 2]
         cz = next(i for i, op in enumerate(c.ops) if len(op.targets) == 2)
-        a, b = c.ops[cz].targets
-        paulis = {1: [(1, sparse[0])], cz: [(a, sparse[1]), (b, sparse[2])],
-                  len(c.ops) - 1: [(3, sparse[3])]}
+        paulis = {1: sparse[0], cz: 4 * sparse[1] + sparse[2],
+                  len(c.ops) - 1: sparse[3]}
         got = run_circuit_batch(c, params, paulis)
         for r in range(k):
-            want = _dense_with_paulis(c, params[r], paulis, r)
+            want = dense_run_with_paulis(c, params[r], paulis, r)
             assert np.abs(got[r] - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("kind", ["CNOT", "CZ", "SWAP"])
+def test_two_qubit_codes_move_through_the_rest_of_their_run(kind, real):
+    # row b gets code b (all 16) after the first gate of a run whose later
+    # CNOT/CZ/SWAP gates act on its qubits both ways round; the plan
+    # applies the codes after the whole run, through each op's frame, and
+    # must match the gate-by-gate oracle, signs included
+    rng = np.random.default_rng(61 + 2 * len(kind) + real)
+    one, n_angles = ("RY", 1) if real else ("U3", 3)
+    c = Circuit(4)
+    for gates in ([], [(kind, (1, 2)), ("CNOT", (2, 1)), ("CZ", (1, 3)),
+                       ("SWAP", (2, 0)), ("CNOT", (1, 2)), ("CZ", (2, 1)),
+                       ("SWAP", (1, 2))]):
+        for g, targets in gates:
+            c.add(g, targets)
+        for q in range(4):
+            c.add(one, (q,), (0.0,) * n_angles, trainable=True)
+    params = rng.uniform(0, 2 * np.pi, (16, c.n_params))
+    first = np.arange(16)
+    for paulis in ({4: first}, {4: first, 6: rng.permutation(16),
+                                10: rng.integers(0, 16, 16)}):
+        got = run_circuit_batch(c, params, paulis)
+        for b in range(16):
+            np.testing.assert_allclose(
+                got[b], dense_run_with_paulis(c, params[b], paulis, b),
+                rtol=0, atol=1e-12)
 
 
 def test_all_zero_pauli_codes_leave_the_exact_run():
@@ -253,7 +265,7 @@ def test_all_zero_pauli_codes_leave_the_exact_run():
     for c in _sparse_pauli_circuits():
         params = rng.uniform(0, 2 * np.pi, (3, c.n_params))
         zero = np.zeros(3, dtype=np.intp)
-        got = run_circuit_batch(c, params, {0: [(0, zero)], 5: [(2, zero)]})
+        got = run_circuit_batch(c, params, {0: zero, 5: zero})
         for r in range(3):
             assert np.abs(got[r] - dense_run(c, params[r])).max() < 1e-12
 
