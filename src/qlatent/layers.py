@@ -27,11 +27,7 @@ from .noise import (
     mitigate_probabilities,
     sample_noisy_counts,
 )
-from .statevector import (
-    adjoint_z_gradients,
-    pauli_z_expectations_batch,
-    run_circuit_batch,
-)
+from .statevector import z_expectations
 from .tensor import Tensor, conv2d, group_norm
 
 
@@ -233,14 +229,10 @@ class QuantumLayer(Module):
     def circuit_expectations(self, angles: Tensor) -> Tensor:
         """Exact per-qubit <Z> for a batch of encoder angle rows."""
         theta = self.theta
-        template = self._template
-        shared = theta.data.copy()
-        amps = run_circuit_batch(template, angles.data, shared=shared)
-        z = pauli_z_expectations_batch(amps, self.n_qubits)
+        z, vjp = z_expectations(self._template, angles.data, shared=theta.data)
 
         def backward():
-            dangles, dtheta = adjoint_z_gradients(
-                template, angles.data, amps, out.grad, shared=shared)
+            dangles, dtheta = vjp(out.grad)
             if angles.requires_grad:
                 angles._accumulate(dangles)
             if theta.requires_grad:

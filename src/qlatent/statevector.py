@@ -368,17 +368,18 @@ def _gate_matrices(kind: str, angles) -> np.ndarray:
     return _u3(*angles)
 
 
-def _prepare(circuit: Circuit, params, shared):
-    """The circuit's plan, k, the (2, 2, G + 1, k) matrices of its G
-    one-qubit ops and the identity, their angles per ``plan.kinds``
-    entry, and the block matrices."""
+def _prepare(circuit: Circuit, params, shared) -> SimpleNamespace:
+    """One binding of ``params`` and ``shared``: the circuit, its plan, k,
+    the (2, 2, G + 1, k) matrices of its G one-qubit ops and the identity,
+    their angles per ``plan.kinds`` entry, and the block matrices."""
     params = np.asarray(params, dtype=np.float64)
     shared = np.zeros(0) if shared is None else np.asarray(
         shared, dtype=np.float64).ravel()
-    if params.ndim != 2 or params.shape[1] + shared.size != circuit.n_params:
+    if (params.ndim != 2 or not params.shape[0]
+            or params.shape[1] + shared.size != circuit.n_params):
         raise SimulationError(
             f"params shape {params.shape} and {shared.size} shared values "
-            f"do not match {circuit.n_params} trainable slots")
+            f"do not bind {circuit.n_params} trainable slots to any row")
     plan = _plan(circuit.n_qubits,
                  tuple((op.kind, op.targets) for op in circuit.ops),
                  tuple(circuit.param_slots), shared.size)
@@ -397,7 +398,8 @@ def _prepare(circuit: Circuit, params, shared):
     for _, bs, fidx in plan.krons:
         for b, mb in zip(bs, _kron(factor[fidx])):
             blocks[b] = mb
-    return plan, k, mats, angles, blocks
+    return SimpleNamespace(circuit=circuit, plan=plan, k=k, mats=mats,
+                           angles=angles, blocks=blocks)
 
 
 def _kron(f: np.ndarray) -> np.ndarray:
@@ -454,6 +456,36 @@ def _insert_paulis(psi, circuit, plan, paulis, ops) -> None:
         psi[:, hit] = rows
 
 
+def _run(bound: SimpleNamespace, paulis: dict | None = None) -> np.ndarray:
+    """The rows-last (2**n, k) final state of a binding, with ``paulis``."""
+    circuit, plan, mats = bound.circuit, bound.plan, bound.mats
+    after = {}  # stage -> the ops whose codes follow it, in op order
+    for i in sorted(paulis or ()):
+        after.setdefault(plan.stage_of[i], []).append(i)
+    first = {q: mats[:, 0, g] for q, g in plan.product}
+    psi = np.empty((2 ** circuit.n_qubits, bound.k),
+                   np.complex128 if paulis else plan.dtype)
+    psi[0] = 1.0
+    for q in range(circuit.n_qubits):  # in place, into rows 2**q..2**(q+1)
+        v = first.get(q, ((1.0,), (0.0,)))
+        np.multiply(psi[:1 << q], v[1], out=psi[1 << q:2 << q])
+        psi[:1 << q] *= v[0]
+    if -1 in after:
+        _insert_paulis(psi, circuit, plan, paulis, after[-1])
+    tmp = np.empty_like(psi)
+    for s, stage in enumerate(plan.stages):
+        if stage[0] == "block":
+            lo, w, _ = plan.blocks[stage[1]]
+            psi, tmp = _apply_block(psi, tmp, lo, w, bound.blocks[stage[1]])
+        elif stage[0] == "rows":
+            psi, tmp = _apply_rows(psi, tmp, mats, *stage[1:])
+        else:
+            psi, tmp = _apply_perm(psi, tmp, *stage[1:])
+        if after and s in after:
+            _insert_paulis(psi, circuit, plan, paulis, after[s])
+    return psi
+
+
 def run_circuit_batch(circuit: Circuit, params: np.ndarray,
                       paulis: dict | None = None,
                       shared: np.ndarray | None = None) -> np.ndarray:
@@ -469,32 +501,7 @@ def run_circuit_batch(circuit: Circuit, params: np.ndarray,
     gets c = codes[b] (0..3: I, X, Y, Z) on its target, or on a two-qubit
     op c >> 2 on targets[0] and c & 3 on targets[1].
     """
-    plan, k, mats, _, blocks = _prepare(circuit, params, shared)
-    after = {}  # stage -> the ops whose codes follow it, in op order
-    for i in sorted(paulis or ()):
-        after.setdefault(plan.stage_of[i], []).append(i)
-    first = {q: mats[:, 0, g] for q, g in plan.product}
-    psi = np.empty((2 ** circuit.n_qubits, k),
-                   np.complex128 if paulis else plan.dtype)
-    psi[0] = 1.0
-    for q in range(circuit.n_qubits):  # in place, into rows 2**q..2**(q+1)
-        v = first.get(q, ((1.0,), (0.0,)))
-        np.multiply(psi[:1 << q], v[1], out=psi[1 << q:2 << q])
-        psi[:1 << q] *= v[0]
-    if -1 in after:
-        _insert_paulis(psi, circuit, plan, paulis, after[-1])
-    tmp = np.empty_like(psi)
-    for s, stage in enumerate(plan.stages):
-        if stage[0] == "block":
-            lo, w, _ = plan.blocks[stage[1]]
-            psi, tmp = _apply_block(psi, tmp, lo, w, blocks[stage[1]])
-        elif stage[0] == "rows":
-            psi, tmp = _apply_rows(psi, tmp, mats, *stage[1:])
-        else:
-            psi, tmp = _apply_perm(psi, tmp, *stage[1:])
-        if after and s in after:
-            _insert_paulis(psi, circuit, plan, paulis, after[s])
-    del tmp  # so the transposed copy below does not raise peak memory
+    psi = _run(_prepare(circuit, params, shared), paulis)
     return np.ascontiguousarray(psi.T, dtype=np.complex128)
 
 
@@ -546,70 +553,71 @@ def _adjoint_derivatives(kind: str, angles, m: np.ndarray) -> list:
             -2.0 * np.imag(m11)]
 
 
-def adjoint_z_gradients(circuit: Circuit, params: np.ndarray,
-                        amps: np.ndarray, weights: np.ndarray,
-                        shared: np.ndarray | None = None):
-    """Gradient of sum_q weights[b, q] <Z_q> for every row and every slot.
-
-    ``amps`` must be ``run_circuit_batch(circuit, params, shared=shared)``
-    and ``weights`` has shape (k, n_qubits).  Returns the pair of per-row
-    slot gradients (k, n_params - S) and shared slot gradients (S,)
-    summed over the rows, S = len(shared) (0 without it).  This is the
-    adjoint method (Jones & Gacon 2020, arXiv:2009.02823) for the
-    diagonal H_b = sum_q weights[b, q] Z_q: from phi = psi and lambda =
-    H_b psi, one reverse sweep over the plan applies U^dag to both and
-    reads 2 Re <lambda|dU|phi> per slot from 2x2 overlaps.
+def z_expectations(circuit: Circuit, params: np.ndarray,
+                   shared: np.ndarray | None = None):
+    """(z, vjp): the (k, n_qubits) <Z_q> of rows bound as in
+    ``run_circuit_batch``, and vjp(weights), the gradient of sum_q
+    weights[b, q] <Z_q> as a pair: per-row slot gradients (k, n_params -
+    S) and shared slot gradients (S,) summed over the rows, S =
+    len(shared).  This is the adjoint method (Jones & Gacon 2020,
+    arXiv:2009.02823) for H_b = sum_q weights[b, q] Z_q: from phi = psi
+    and lambda = H_b psi, one reverse sweep over the forward's binding
+    applies U^dag to both, leaving the binding and the final state as
+    they are, and reads 2 Re <lambda|dU|phi> per slot from 2x2 overlaps.
     """
-    plan, k, mats, angles, blocks = _prepare(circuit, params, shared)
-    n = circuit.n_qubits
-    weights = np.asarray(weights, dtype=np.float64)
-    if amps.shape != (k, 2 ** n) or weights.shape != (k, n):
-        raise SimulationError(
-            f"amps {amps.shape} / weights {weights.shape} do not match "
-            f"{k} rows on {n} qubits")
-    # state[0] holds lambda and state[1] phi, so one apply moves both
-    state = np.empty((2, 2 ** n, k), plan.dtype)
-    state[1] = amps.T if plan.dtype == np.complex128 else amps.real.T
-    np.multiply(_z_signs(n) @ weights.T, state[1], out=state[0])
-    tmp = np.empty_like(state)
-    # overlaps M after U^dag: per op and row (the identity's entry takes
-    # the identity factors' and goes unread), per block factor row-summed
-    ms = np.zeros((plan.size + 1, k, 2, 2), complex)
-    m_factor = np.empty((len(plan.factor_ops), 2, 2), complex)
-    for stage in reversed(plan.stages):
-        if stage[0] == "block":
-            lo, w, fidx = plan.blocks[stage[1]]
-            state, tmp = _apply_block(state, tmp, lo, w,
-                                      blocks[stage[1]].conj().T)
-            lam, phi = state.reshape(2, -1, 1 << w, k << lo)
-            overlap = (lam.conj() @ phi.transpose(0, 2, 1)).sum(axis=0)
-            m_factor[fidx] = (_partial_traces(w) @ overlap.ravel()).reshape(
-                w, 2, 2)
-        elif stage[0] == "rows":  # ops on distinct qubits commute
-            for q, g in reversed(stage[1]):
-                _apply_1q(state, tmp, q,
-                          mats[:, :, g].conj().transpose(1, 0, 2))
-                ms[g] = _row_overlaps(state, q)
-        else:  # undo psi[i] <- +-psi[perm[i]]
-            if stage[2] is not None:
-                np.negative(state, out=state, where=stage[2][:, None])
-            if stage[1] is not None:
-                tmp[:, stage[1]] = state
-                state, tmp = tmp, state
-    ms[plan.factor_ops, 0] = m_factor  # a block's ops: in row 0 only
-    # each qubit's first op acts on |0>: with M the overlap at the product
-    # state, its <lambda|dU U^dag|phi> is sum(D * U^T M conj(U))
-    if plan.product:
-        qs, gs = map(list, zip(*plan.product))
-        u = mats[:, :, gs]
-        ms[gs] = np.einsum("yxgk,gkyz,zwgk->gkxw", u, np.stack(
-            [_row_overlaps(state, q) for q in qs]), u.conj())
-    derivs = np.zeros((plan.size, 3, k))
-    for (kind, _, gs, _), kind_angles in zip(plan.kinds, angles):
-        for a, v in enumerate(_adjoint_derivatives(kind, kind_angles, ms[gs])):
-            derivs[gs, a] = v
-    grads = derivs[plan.slot_at]
-    return grads[:plan.n_row].T, grads[plan.n_row:].sum(axis=1)
+    bound = _prepare(circuit, params, shared)
+    plan, k, n = bound.plan, bound.k, circuit.n_qubits
+    final = _run(bound)
+    z = pauli_z_expectations_batch(final.T.astype(complex, order="C"), n)
+
+    def vjp(weights: np.ndarray):
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (k, n):
+            raise SimulationError(f"weights {weights.shape} are not {(k, n)}")
+        # state[0] holds lambda and state[1] phi, so one apply moves both
+        state = np.stack([final, final])
+        state[0] *= _z_signs(n) @ weights.T
+        tmp = np.empty_like(state)
+        # overlaps M after U^dag: per op and row (the identity's entry takes
+        # the identity factors' and goes unread), per block factor row-summed
+        ms = np.zeros((plan.size + 1, k, 2, 2), complex)
+        m_factor = np.empty((len(plan.factor_ops), 2, 2), complex)
+        for stage in reversed(plan.stages):
+            if stage[0] == "block":
+                lo, w, fidx = plan.blocks[stage[1]]
+                state, tmp = _apply_block(state, tmp, lo, w,
+                                          bound.blocks[stage[1]].conj().T)
+                lam, phi = state.reshape(2, -1, 1 << w, k << lo)
+                overlap = (lam.conj() @ phi.transpose(0, 2, 1)).sum(axis=0)
+                m_factor[fidx] = (_partial_traces(w)
+                                  @ overlap.ravel()).reshape(w, 2, 2)
+            elif stage[0] == "rows":  # ops on distinct qubits commute
+                for q, g in reversed(stage[1]):
+                    _apply_1q(state, tmp, q,
+                              bound.mats[:, :, g].conj().transpose(1, 0, 2))
+                    ms[g] = _row_overlaps(state, q)
+            else:  # undo psi[i] <- +-psi[perm[i]]
+                if stage[2] is not None:
+                    np.negative(state, out=state, where=stage[2][:, None])
+                if stage[1] is not None:
+                    tmp[:, stage[1]] = state
+                    state, tmp = tmp, state
+        ms[plan.factor_ops, 0] = m_factor  # a block's ops: in row 0 only
+        # each qubit's first op acts on |0>: with M the overlap at the
+        # product state, its <lambda|dU U^dag|phi> is sum(D * U^T M conj(U))
+        if plan.product:
+            qs, gs = map(list, zip(*plan.product))
+            u = bound.mats[:, :, gs]
+            ms[gs] = np.einsum("yxgk,gkyz,zwgk->gkxw", u, np.stack(
+                [_row_overlaps(state, q) for q in qs]), u.conj())
+        derivs = np.zeros((plan.size, 3, k))
+        for (kind, _, gs, _), angles in zip(plan.kinds, bound.angles):
+            for a, v in enumerate(_adjoint_derivatives(kind, angles, ms[gs])):
+                derivs[gs, a] = v
+        grads = derivs[plan.slot_at]
+        return grads[:plan.n_row].T, grads[plan.n_row:].sum(axis=1)
+
+    return z, vjp
 
 
 def run_circuit(circuit: Circuit, params=()) -> StateVector:

@@ -26,11 +26,11 @@ from qlatent.noise import NoiseModel, sample_noisy
 from qlatent.statevector import (
     Circuit,
     GateOp,
-    adjoint_z_gradients,
     bind_params,
     pauli_z_expectations_batch,
     run_circuit,
     run_circuit_batch,
+    z_expectations,
 )
 from qlatent.tensor import Tensor
 
@@ -94,8 +94,9 @@ def test_plans_match_dense_oracle_and_parameter_shift(n, k):
                                    rtol=0, atol=1e-12)
     weights = rng.standard_normal((k, n))
     want = _dense_shift_gradients(circuit, full, weights)
-    got_rows, got_shared = adjoint_z_gradients(circuit, rows, amps, weights,
-                                               shared=shared)
+    z, vjp = z_expectations(circuit, rows, shared=shared)
+    np.testing.assert_allclose(z, _dense_z(circuit, full), rtol=0, atol=1e-12)
+    got_rows, got_shared = vjp(weights)
     np.testing.assert_allclose(got_rows, want[:, :n_row], rtol=0, atol=1e-10)
     np.testing.assert_allclose(got_shared, want[:, n_row:].sum(axis=0),
                                rtol=0, atol=1e-10)
@@ -113,9 +114,9 @@ def test_shared_slots_equal_the_same_angles_per_row():
         np.testing.assert_allclose(amps, run_circuit_batch(circuit, full),
                                    rtol=0, atol=1e-12)
         weights = rng.standard_normal((5, n))
-        per_row, _ = adjoint_z_gradients(circuit, full, amps, weights)
-        got_rows, got_shared = adjoint_z_gradients(circuit, rows, amps,
-                                                   weights, shared=shared)
+        per_row, _ = z_expectations(circuit, full)[1](weights)
+        got_rows, got_shared = z_expectations(circuit, rows,
+                                              shared=shared)[1](weights)
         np.testing.assert_allclose(got_rows, per_row[:, :n_row],
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_shared, per_row[:, n_row:].sum(axis=0),
@@ -142,9 +143,8 @@ def test_a_second_gate_on_a_qubit_starts_a_new_block():
     full = rng.uniform(0, 2 * np.pi, (2, c.n_params))
     full[:, 3:] = full[0, 3:]
     weights = rng.standard_normal((2, 3))
-    amps = run_circuit_batch(c, full[:, :3], shared=full[0, 3:])
-    rows, shared = adjoint_z_gradients(c, full[:, :3], amps, weights,
-                                       shared=full[0, 3:])
+    rows, shared = z_expectations(c, full[:, :3],
+                                  shared=full[0, 3:])[1](weights)
     want = _dense_shift_gradients(c, full, weights)
     np.testing.assert_allclose(rows, want[:, :3], rtol=0, atol=1e-10)
     np.testing.assert_allclose(shared, want[:, 3:].sum(axis=0),
@@ -244,20 +244,19 @@ def test_per_row_blocks_adjoint_matches_parameter_shift(n, real):
     full = rng.uniform(0, 2 * np.pi, (3, circuit.n_params))
     full[:, n_row:] = full[0, n_row:]
     rows, shared = full[:, :n_row], full[0, n_row:]
-    amps = run_circuit_batch(circuit, rows, shared=shared)
     weights = rng.standard_normal((3, n))
     want = _dense_shift_gradients(circuit, full, weights)
-    got_rows, got_shared = adjoint_z_gradients(circuit, rows, amps, weights,
-                                               shared=shared)
+    got_rows, got_shared = z_expectations(circuit, rows,
+                                          shared=shared)[1](weights)
     np.testing.assert_allclose(got_rows, want[:, :n_row], rtol=0, atol=1e-10)
     np.testing.assert_allclose(got_shared, want[:, n_row:].sum(axis=0),
                                rtol=0, atol=1e-10)
 
 
-def test_per_row_runs_end_at_repeats_shared_ops_and_pauli_codes():
+def test_per_row_runs_end_at_repeats_and_shared_ops():
     # 7 qubits, per-row RY unless marked: a gapped window and a window
-    # starting on qubit 1, then runs ended by a second gate on qubit 3,
-    # by a shared gate and by a Pauli code
+    # starting on qubit 1, then runs ended by a second gate on qubit 3
+    # and by a shared gate; a Pauli code ends none
     c, n = Circuit(7), 7
     for q in range(n):
         c.add("RY", (q,), (0.0,), trainable=True)
@@ -286,8 +285,8 @@ def test_per_row_runs_end_at_repeats_shared_ops_and_pauli_codes():
         np.testing.assert_allclose(amps[b], dense_run(c, full[b]),
                                    rtol=0, atol=1e-12)
     weights = rng.standard_normal((3, n))
-    rows, shared_grad = adjoint_z_gradients(c, full[:, :-1], amps, weights,
-                                            shared=full[0, -1:])
+    rows, shared_grad = z_expectations(c, full[:, :-1],
+                                       shared=full[0, -1:])[1](weights)
     want = _dense_shift_gradients(c, full, weights)
     np.testing.assert_allclose(rows, want[:, :-1], rtol=0, atol=1e-10)
     np.testing.assert_allclose(shared_grad, want[:, -1:].sum(axis=0),
@@ -349,8 +348,8 @@ def test_one_gate_per_qubit_runs_equal_the_unfused_kernel(monkeypatch,
     def run():
         statevector._plan.cache_clear()
         amps = run_circuit_batch(layer._template, angles, shared=theta)
-        return amps, adjoint_z_gradients(layer._template, angles, amps,
-                                         weights, shared=theta)
+        return amps, z_expectations(layer._template, angles,
+                                    shared=theta)[1](weights)
 
     def widths():
         plan = statevector._plan(*_key(layer._template, theta.size))
@@ -425,9 +424,17 @@ def test_plans_are_compiled_once_per_structure():
     rng = np.random.default_rng(2)
     statevector._plan.cache_clear()
     layer = QuantumLayer(3, 3, AnsatzSpec(AnsatzKind.ESE2, 4, 2), rng)
+
+    def lookups():
+        info = statevector._plan.cache_info()
+        return info.hits + info.misses
+
     for _ in range(2):
         angles = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        before = lookups()
         layer.circuit_expectations(angles).sum().backward()
+        # one binding per call: the backward sweeps the forward's plan
+        assert lookups() == before + 1
     assert statevector._plan.cache_info().misses == 1
     # circuits that differ only in fixed angle values share one plan
     spec = AnsatzSpec(AnsatzKind.SE, 4, 2)

@@ -20,7 +20,7 @@ from qlatent.diagnostics import (
     run_gv_sweep,
     variance_stderr,
 )
-from qlatent.statevector import Circuit, GateOp, run_circuit
+from qlatent.statevector import Circuit, GateOp, SimulationError, run_circuit
 
 
 def _finite_difference(circuit, params, idx, cost_qubit=0, h=1e-6):
@@ -122,6 +122,13 @@ def test_gradient_samples_deterministic():
     a = first_param_gradient_samples(circuit, 50, seed=5)
     b = first_param_gradient_samples(circuit, 50, seed=5)
     np.testing.assert_array_equal(a, b)
+
+
+def test_zero_gradient_samples_raise_a_simulation_error():
+    spec = AnsatzSpec(AnsatzKind.BE, 3, 2)
+    circuit = build_ansatz(spec, np.zeros(param_count(spec)))
+    with pytest.raises(SimulationError, match=r"params shape \(0, "):
+        first_param_gradient_samples(circuit, 0, seed=5)
 
 
 def test_gradient_samples_validate_the_cost_qubit_before_simulating(

@@ -33,10 +33,10 @@ from qlatent.noise import NoiseModel, sample_noisy
 from qlatent.statevector import (
     Circuit,
     GateOp,
-    adjoint_z_gradients,
     bind_params,
     run_circuit,
     run_circuit_batch,
+    z_expectations,
 )
 from qlatent.tensor import Tensor
 
@@ -321,14 +321,42 @@ def test_quantum_layer_adjoint_matches_parameter_shift(kind, n_qubits):
     ref = _weighted_shift_gradients(layer._template, full, weights)
     # every slot, row by row: encoder RY angles and all ansatz angles
     np.testing.assert_allclose(
-        adjoint_z_gradients(layer._template, full,
-                            run_circuit_batch(layer._template, full),
-                            weights)[0],
+        z_expectations(layer._template, full)[1](weights)[0],
         ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(angles.grad, ref[:, :n_qubits],
                                rtol=0, atol=1e-10)
     np.testing.assert_allclose(layer.theta.grad, ref[:, n_qubits:].sum(axis=0),
                                rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", [AnsatzKind.S2D, AnsatzKind.SE])
+def test_quantum_layer_backward_sweeps_the_forward_binding(kind):
+    # the backward reads the forward's own angles and final state: theta
+    # and the angle rows changed in place between forward and backward
+    # leave the gradients as they are, and a vjp called twice finds the
+    # forward's state untouched (S2D runs in float64, SE in complex128)
+    rng = np.random.default_rng(29)
+    layer = QuantumLayer(3, 3, AnsatzSpec(kind, 4, 2), rng)
+    rows = rng.uniform(-np.pi, np.pi, size=(3, 4))
+    weights = rng.standard_normal((3, 4))
+    theta = layer.theta.data.copy()
+
+    def grads(mutate):
+        layer.theta.data[:] = theta
+        layer.theta.zero_grad()
+        angles = Tensor(rows.copy(), requires_grad=True)
+        loss = (layer.circuit_expectations(angles) * Tensor(weights)).sum()
+        if mutate:
+            layer.theta.data += 1.0
+            angles.data *= -1.0
+        loss.backward()
+        return angles.grad, layer.theta.grad
+
+    for want, got in zip(grads(False), grads(True)):
+        np.testing.assert_array_equal(got, want)
+    _, vjp = z_expectations(layer._template, rows, shared=theta)
+    for first, second in zip(vjp(weights), vjp(weights)):
+        np.testing.assert_array_equal(second, first)
 
 
 def test_adjoint_matches_parameter_shift_on_random_circuits():
@@ -338,9 +366,7 @@ def test_adjoint_matches_parameter_shift_on_random_circuits():
         circuit = random_circuit(rng, n, 24)
         params = rng.uniform(0.0, 2 * np.pi, size=(3, circuit.n_params))
         weights = rng.standard_normal((3, n))
-        got, _ = adjoint_z_gradients(circuit, params,
-                                     run_circuit_batch(circuit, params),
-                                     weights)
+        got, _ = z_expectations(circuit, params)[1](weights)
         np.testing.assert_allclose(
             got, _weighted_shift_gradients(circuit, params, weights),
             rtol=0, atol=1e-10)
@@ -365,7 +391,7 @@ def test_adjoint_matches_parameter_shift_around_fixed_gates():
         np.testing.assert_allclose(
             amps[b], run_circuit(bind_params(circuit, params[b])).amplitudes,
             rtol=0, atol=1e-12)
-    got, _ = adjoint_z_gradients(circuit, params, amps, weights)
+    got, _ = z_expectations(circuit, params)[1](weights)
     np.testing.assert_allclose(
         got, _weighted_shift_gradients(circuit, params, weights),
         rtol=0, atol=1e-10)

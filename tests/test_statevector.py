@@ -288,6 +288,8 @@ def test_param_count_mismatch_raises():
     c.add("RY", (0,), (0.0,), trainable=True)
     with pytest.raises(SimulationError):
         run_circuit(c, [0.1, 0.2])
+    with pytest.raises(SimulationError, match=r"params shape \(0, 1\)"):
+        run_circuit_batch(c, np.zeros((0, 1)))
 
 
 def test_invalid_gates_rejected():
