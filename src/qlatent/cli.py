@@ -661,6 +661,7 @@ def _load_generated(manifest_path: Path) -> dict[str, list[dict]]:
 
 
 def check_evaluate(cfg: dict, out: Path) -> dict:
+    _require_min(cfg, knn_k=1)
     real_manifest = _require_file(cfg["data"], "data")
     gen_manifest = _require_file(cfg["generated"], "generated")
     real_images, real_labels = load_split(real_manifest, cfg["split"])
@@ -668,6 +669,11 @@ def check_evaluate(cfg: dict, out: Path) -> dict:
     root = gen_manifest.parent
     loaded = {}
     for alpha, rows in groups.items():
+        try:
+            float(alpha)
+        except ValueError:
+            raise ValueError(
+                f"generated: alpha {alpha!r} is not a number") from None
         images = np.stack([
             read_ppm(root / r["filename"]).transpose(2, 0, 1)
             for r in rows])
@@ -676,10 +682,27 @@ def check_evaluate(cfg: dict, out: Path) -> dict:
             raise ValueError(
                 f"generated images {images.shape[1:]} do not match real "
                 f"images {real_images.shape[1:]}")
+        _require_scorable(cfg, "generated", f"alpha {alpha}", labels,
+                          real_labels)
         loaded[alpha] = (images, labels)
-    _require_min(cfg, knn_k=1)
     return {"real_images": real_images, "real_labels": real_labels,
             "generated": loaded}
+
+
+def _require_scorable(cfg: dict, gen_key: str, what: str,
+                      gen_labels: np.ndarray, real_labels: np.ndarray) -> None:
+    """Reject a generated set, or the class-matched real subset it is
+    scored against, with fewer than 2 images or not more than knn_k."""
+    n_real = sum(min(np.sum(gen_labels == c), np.sum(real_labels == c))
+                 for c in np.unique(gen_labels))
+    need = max(2, cfg["knn_k"] + 1)
+    for key, noun, size in (
+            (gen_key, "generated set", gen_labels.size),
+            ("split", f"class-matched {cfg['split']} subset", n_real)):
+        if size < need:
+            raise ValueError(
+                f"{key}: the {noun} for {what} holds {size} images; "
+                f"knn_k={cfg['knn_k']} needs at least {need}")
 
 
 def _match_class_proportions(real_images, real_labels, gen_labels,
@@ -768,7 +791,11 @@ def check_compare(cfg: dict, out: Path) -> dict:
                                      "unet")
         except ValueError as exc:
             raise ValueError(f"variant {name}: {exc}") from None
-        variants[name] = (vae, unet, echo)
+        labels = np.repeat(np.arange(unet.config.num_classes),
+                           cfg["n_per_class"])
+        _require_scorable(cfg, "n_per_class", f"variant {name}", labels,
+                          real_labels)
+        variants[name] = (vae, unet, echo, labels)
     return {"names": names, "variants": variants,
             "real_images": real_images, "real_labels": real_labels}
 
@@ -777,11 +804,9 @@ def run_compare(cfg: dict, out: Path, ctx: dict) -> None:
     rows = []
     warnings: list[str] = []
     for name in ctx["names"]:
-        vae, unet, echo = ctx["variants"][name]
+        vae, unet, echo, labels = ctx["variants"][name]
         schedule = build_schedule(echo["timesteps"], echo["beta_start"],
                                   echo["beta_end"])
-        k = cfg["n_per_class"]
-        labels = np.repeat(np.arange(unet.config.num_classes), k)
         rng = np.random.default_rng(cfg["seed"])
         images = generate_images(vae, unet, schedule, labels.size, labels,
                                  rng, echo["latent_scale"],

@@ -98,6 +98,8 @@ def first_param_gradient_samples(circuit: Circuit, samples: int, seed: int,
         raise ValueError(f"param_idx {param_idx} out of range")
     if not 0 <= cost_qubit < circuit.n_qubits:
         raise ValueError(f"cost qubit {cost_qubit} out of range")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2 * np.pi, size=(samples, circuit.n_params))
     cone, cols, cost = _light_cone(circuit, cost_qubit)

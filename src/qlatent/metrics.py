@@ -1,10 +1,10 @@
-"""Sample-quality metrics between image sets, all plain numpy.
+"""Sample-quality metrics between image sets.
 
 Images enter as (N, C, H, W) arrays in [0, 1].  Feature embeddings are
 deliberately lightweight (pooled pixels or a seeded random projection),
-which keeps every metric deterministic and dependency-free.  The SSIM
-here is a second, independent implementation of the loss-side one, so
-the two can cross-check each other in tests.
+which keeps every metric deterministic and dependency-free.  SSIM is a
+``Tensor`` node, the same one the VAE loss trains through; the
+distribution metrics are plain numpy over one squared-distance kernel.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor import Tensor
 
 EMBED_METHODS = ("pool", "project")
 
@@ -73,11 +75,11 @@ def frechet_distance(x: np.ndarray, y: np.ndarray,
     return mean_term + trace_term
 
 
-def _rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    sq = (np.sum(a ** 2, axis=1)[:, None]
-          + np.sum(b ** 2, axis=1)[None, :]
-          - 2.0 * a @ b.T)
-    return np.exp(-np.clip(sq, 0.0, None) / (2.0 * sigma ** 2))
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of ``a`` and ``b``, clipped at 0."""
+    return np.clip(np.sum(a ** 2, axis=1)[:, None]
+                   + np.sum(b ** 2, axis=1)[None, :]
+                   - 2.0 * a @ b.T, 0.0, None)
 
 
 def cmmd_rbf(x: np.ndarray, y: np.ndarray, sigma: float = 10.0,
@@ -93,9 +95,8 @@ def cmmd_rbf(x: np.ndarray, y: np.ndarray, sigma: float = 10.0,
     n, m = x.shape[0], y.shape[0]
     if n < 2 or m < 2:
         raise ValueError("need at least 2 samples per set")
-    kxx = _rbf_kernel(x, x, sigma)
-    kyy = _rbf_kernel(y, y, sigma)
-    kxy = _rbf_kernel(x, y, sigma)
+    kxx, kyy, kxy = (np.exp(-_sq_dists(a, b) / (2.0 * sigma ** 2))
+                     for a, b in ((x, x), (y, y), (x, y)))
     if unbiased:
         xx = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
         yy = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
@@ -105,34 +106,87 @@ def cmmd_rbf(x: np.ndarray, y: np.ndarray, sigma: float = 10.0,
     return float(xx + yy - 2.0 * kxy.mean())
 
 
-def ssim_pairs(x: np.ndarray, y: np.ndarray, window: int = 8,
-               stride: int = 4, data_range: float = 1.0) -> float:
-    """Mean SSIM over index-matched image pairs.
+def _window_means(t: Tensor, window: int, stride: int) -> Tensor:
+    """Means of ``t`` over square windows at ``stride``, as one node.
 
-    Windows are dense 8x8 patches at stride 4, statistics via
-    sliding-window views; channels average equally.
+    A window is ``m = window // stride`` blocks a side of ``stride``
+    pixels each, so each mean is a sum of m x m neighbouring block sums
+    over ``window**2``.  Rows and columns that no window covers are
+    cropped; they get zero gradient.
+    """
+    n, c, h, w = t.shape
+    m = window // stride
+    nh, nw = (h - window) // stride + 1, (w - window) // stride + 1
+    bh, bw = nh + m - 1, nw + m - 1  # blocks a side under some window
+    ch, cw = bh * stride, bw * stride
+    blocks = t.data[:, :, :ch, :cw].reshape(n, c, bh, stride, cw).sum(
+        axis=3).reshape(n, c, bh, bw, stride).sum(axis=4)
+    rows = blocks[:, :, :nh].copy()
+    for i in range(1, m):
+        rows += blocks[:, :, i:i + nh]
+    out_data = rows[..., :nw].copy()
+    for j in range(1, m):
+        out_data += rows[..., j:j + nw]
+    out_data /= window * window
+
+    def backward():
+        if not t.requires_grad:
+            return
+        g = out.grad / (window * window)
+        # each window's gradient spreads over its m x m blocks ...
+        g_rows = np.zeros((n, c, nh, bw))
+        for j in range(m):
+            g_rows[..., j:j + nw] += g
+        g_blocks = np.zeros((n, c, bh, bw))
+        for i in range(m):
+            g_blocks[:, :, i:i + nh] += g_rows
+        # ... and each block's over its pixels
+        dx = np.repeat(np.repeat(g_blocks, stride, axis=2), stride, axis=3)
+        if (ch, cw) != (h, w):
+            dx = np.pad(dx, ((0, 0), (0, 0), (0, h - ch), (0, w - cw)))
+        t._accumulate(dx, owned=True)
+
+    out = Tensor._from_op(out_data, (t,), backward)
+    return out
+
+
+def windowed_ssim(x: Tensor, y: Tensor, window: int = 8, stride: int = 4,
+                  data_range: float = 1.0) -> Tensor:
+    """Mean SSIM over overlapping windows, differentiable end to end.
+
+    The windowed form of Wang et al. 2004 (IEEE TIP 13(4)).  Window
+    statistics are box means taken from block sums, so ``window`` must
+    be a multiple of ``stride``.
     """
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     if x.ndim != 4:
-        raise ValueError("expected (N, C, H, W) image sets")
+        raise ValueError(f"expected (N, C, H, W) image sets, got {x.shape}")
+    if stride < 1 or window < stride or window % stride:
+        raise ValueError(f"window {window} is not a positive multiple of "
+                         f"stride {stride}")
     n, c, h, w = x.shape
     if h < window or w < window:
         raise ValueError(f"images smaller than the {window}px window")
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
-    wx = np.lib.stride_tricks.sliding_window_view(
-        x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    wy = np.lib.stride_tricks.sliding_window_view(
-        y, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    mx = wx.mean(axis=(-1, -2))
-    my = wy.mean(axis=(-1, -2))
-    vx = wx.var(axis=(-1, -2))
-    vy = wy.var(axis=(-1, -2))
-    cov = (wx * wy).mean(axis=(-1, -2)) - mx * my
-    ssim_map = ((2 * mx * my + c1) * (2 * cov + c2)) \
-        / ((mx ** 2 + my ** 2 + c1) * (vx + vy + c2))
-    return float(ssim_map.mean())
+
+    def wmean(t: Tensor) -> Tensor:
+        return _window_means(t, window, stride)
+
+    mu_x = wmean(x)
+    mu_y = wmean(y)
+    xx = wmean(x * x) - mu_x * mu_x
+    yy = wmean(y * y) - mu_y * mu_y
+    xy = wmean(x * y) - mu_x * mu_y
+    numer = (2.0 * mu_x * mu_y + c1) * (2.0 * xy + c2)
+    denom = (mu_x * mu_x + mu_y * mu_y + c1) * (xx + yy + c2)
+    return (numer / denom).mean()
+
+
+def ssim_pairs(x: np.ndarray, y: np.ndarray) -> float:
+    """Mean ``windowed_ssim`` over index-matched image pairs."""
+    return windowed_ssim(Tensor(x), Tensor(y)).item()
 
 
 def precision_recall_knn(real: np.ndarray, fake: np.ndarray,
@@ -149,28 +203,17 @@ def precision_recall_knn(real: np.ndarray, fake: np.ndarray,
     if real.shape[0] <= k or fake.shape[0] <= k:
         raise ValueError(f"need more than k={k} samples per set")
 
+    d_fake_real = np.sqrt(_sq_dists(fake, real))
+
     def radii(feats):
-        d = np.sqrt(np.clip(
-            np.sum(feats ** 2, axis=1)[:, None]
-            + np.sum(feats ** 2, axis=1)[None, :]
-            - 2.0 * feats @ feats.T, 0.0, None))
+        d = np.sqrt(_sq_dists(feats, feats))
         np.fill_diagonal(d, np.inf)
         return np.sort(d, axis=1)[:, k - 1]
 
-    def cross(a, b):
-        return np.sqrt(np.clip(
-            np.sum(a ** 2, axis=1)[:, None]
-            + np.sum(b ** 2, axis=1)[None, :]
-            - 2.0 * a @ b.T, 0.0, None))
-
-    real_radii = radii(real)
-    fake_radii = radii(fake)
-    d_fake_real = cross(fake, real)
     precision = float(np.mean(
-        np.any(d_fake_real <= real_radii[None, :], axis=1)))
-    d_real_fake = cross(real, fake)
+        np.any(d_fake_real <= radii(real)[None, :], axis=1)))
     recall = float(np.mean(
-        np.any(d_real_fake <= fake_radii[None, :], axis=1)))
+        np.any(d_fake_real <= radii(fake)[:, None], axis=0)))
     return precision, recall
 
 

@@ -24,6 +24,7 @@ from .layers import (
     ResBlock,
     Upsample,
 )
+from .metrics import windowed_ssim
 from .optim import Adam
 from .tensor import Tensor, no_grad
 
@@ -123,82 +124,6 @@ class VAE(Module):
         mu, logvar = self.encode(x)
         z = self.reparameterize(mu, logvar, rng)
         return self.decode(z), mu, logvar
-
-
-def _window_means(t: Tensor, window: int, stride: int) -> Tensor:
-    """Means of ``t`` over square windows at ``stride``, as one node.
-
-    A window is ``m = window // stride`` blocks a side of ``stride``
-    pixels each, so each mean is a sum of m x m neighbouring block sums
-    over ``window**2``.  Rows and columns that no window covers are
-    cropped; they get zero gradient.
-    """
-    n, c, h, w = t.shape
-    m = window // stride
-    nh, nw = (h - window) // stride + 1, (w - window) // stride + 1
-    bh, bw = nh + m - 1, nw + m - 1  # blocks a side under some window
-    ch, cw = bh * stride, bw * stride
-    blocks = t.data[:, :, :ch, :cw].reshape(n, c, bh, stride, cw).sum(
-        axis=3).reshape(n, c, bh, bw, stride).sum(axis=4)
-    rows = blocks[:, :, :nh].copy()
-    for i in range(1, m):
-        rows += blocks[:, :, i:i + nh]
-    out_data = rows[..., :nw].copy()
-    for j in range(1, m):
-        out_data += rows[..., j:j + nw]
-    out_data /= window * window
-
-    def backward():
-        if not t.requires_grad:
-            return
-        g = out.grad / (window * window)
-        # each window's gradient spreads over its m x m blocks ...
-        g_rows = np.zeros((n, c, nh, bw))
-        for j in range(m):
-            g_rows[..., j:j + nw] += g
-        g_blocks = np.zeros((n, c, bh, bw))
-        for i in range(m):
-            g_blocks[:, :, i:i + nh] += g_rows
-        # ... and each block's over its pixels
-        dx = np.repeat(np.repeat(g_blocks, stride, axis=2), stride, axis=3)
-        if (ch, cw) != (h, w):
-            dx = np.pad(dx, ((0, 0), (0, 0), (0, h - ch), (0, w - cw)))
-        t._accumulate(dx, owned=True)
-
-    out = Tensor._from_op(out_data, (t,), backward)
-    return out
-
-
-def windowed_ssim(x: Tensor, y: Tensor, window: int = 8, stride: int = 4,
-                  data_range: float = 1.0) -> Tensor:
-    """Mean SSIM over overlapping windows, differentiable end to end.
-
-    The windowed form of Wang et al. 2004 (IEEE TIP 13(4)).  Window
-    statistics are box means taken from block sums, so ``window`` must
-    be a multiple of ``stride``.
-    """
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if stride < 1 or window < stride or window % stride:
-        raise ValueError(f"window {window} is not a positive multiple of "
-                         f"stride {stride}")
-    n, c, h, w = x.shape
-    if h < window or w < window:
-        raise ValueError(f"images smaller than the {window}px window")
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
-
-    def wmean(t: Tensor) -> Tensor:
-        return _window_means(t, window, stride)
-
-    mu_x = wmean(x)
-    mu_y = wmean(y)
-    xx = wmean(x * x) - mu_x * mu_x
-    yy = wmean(y * y) - mu_y * mu_y
-    xy = wmean(x * y) - mu_x * mu_y
-    numer = (2.0 * mu_x * mu_y + c1) * (2.0 * xy + c2)
-    denom = (mu_x * mu_x + mu_y * mu_y + c1) * (xx + yy + c2)
-    return (numer / denom).mean()
 
 
 def vae_loss(recon: Tensor, x: Tensor, mu: Tensor, logvar: Tensor,

@@ -298,6 +298,26 @@ def windowed_ssim_oracle(x, y, window=8, stride=4, data_range=1.0):
     return (numer / denom).mean()
 
 
+def precision_recall_oracle(real, fake, k):
+    """k-NN manifold precision and recall, one distance at a time.
+
+    Kynkaanniemi et al. 2019 (arXiv:1904.06991): a point is covered by
+    the other set if it lies within the distance from some point of
+    that set to its k-th nearest neighbour in the same set.
+    """
+    def dist(a, b):
+        return np.sqrt(np.sum((a - b) ** 2))
+
+    def coverage(points, support):
+        radii = [sorted(dist(s, t) for j, t in enumerate(support) if j != i)
+                 [k - 1] for i, s in enumerate(support)]
+        covered = [any(dist(p, s) <= r for s, r in zip(support, radii))
+                   for p in points]
+        return sum(covered) / len(points)
+
+    return coverage(fake, real), coverage(real, fake)
+
+
 class LoopAdam:
     """Adam with one moment array per parameter, updated one by one."""
 

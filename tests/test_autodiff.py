@@ -6,6 +6,7 @@ import pytest
 
 from oracles import check_grads, numeric_grad, record_graph_nodes
 from oracles import naive_conv as _naive_conv
+from qlatent.metrics import windowed_ssim
 from qlatent.tensor import (
     Tensor,
     concat,
@@ -14,7 +15,7 @@ from qlatent.tensor import (
     no_grad,
     upsample_nearest,
 )
-from qlatent.vae import VAE, VAEConfig, windowed_ssim
+from qlatent.vae import VAE, VAEConfig
 
 
 def test_add_mul_broadcast():

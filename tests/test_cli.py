@@ -434,15 +434,85 @@ def test_corrupt_checkpoint_exit_1(pipeline, tmp_path, capsys):
 
 
 def test_runtime_failure_exit_2(pipeline, tmp_path, capsys):
-    # knn_k passes validation but exceeds the per-set sample count at
-    # run time, so the failure surfaces as a runtime error
+    # a directory in the way of metrics.csv passes every check, so the
+    # failure surfaces only when the run writes its table
+    (tmp_path / "metrics.csv").mkdir()
     manifest = str(pipeline / "dataset" / "manifest.csv")
     code = main(["evaluate", "--out", str(tmp_path),
                  "--set", f"data={manifest}",
                  "--set", f"generated={pipeline / 'samples.csv'}",
-                 "--set", "knn_k=50"])
+                 "--set", "knn_k=2"])
     assert code == 2
     assert "runtime failure" in capsys.readouterr().err
+
+
+def _rewrite_samples(pipeline, path, alpha=None, label=None):
+    """The pipeline's samples.csv at ``path``, with absolute filenames
+    and optionally every alpha or label replaced."""
+    lines = (pipeline / "samples.csv").read_text().splitlines()
+    body = [f"{alpha or a},{pipeline / f},{label or lab}"
+            for a, f, lab in (line.split(",") for line in lines[1:])]
+    path.write_text("\n".join([lines[0], *body]) + "\n")
+    return path
+
+
+def _evaluate(pipeline, out, generated, *settings):
+    return main(["evaluate", "--out", str(out),
+                 "--set", f"data={pipeline / 'dataset' / 'manifest.csv'}",
+                 "--set", f"generated={generated}",
+                 *[a for kv in settings for a in ("--set", kv)]])
+
+
+def test_evaluate_rejects_sets_too_small_for_knn_k(pipeline, tmp_path,
+                                                   capsys):
+    # n_per_class=1 gives 3 images per alpha: too few for knn_k=3
+    assert main(["sample", "--out", str(tmp_path / "run"),
+                 "--set", f"vae_checkpoint={pipeline / 'vae.qldm'}",
+                 "--set", f"ddpm_checkpoint={pipeline / 'ddpm.qldm'}",
+                 "--set", "n_per_class=1", "--set", "steps=2",
+                 "--set", "alphas=0"]) == 0
+    out = tmp_path / "eval"
+    assert _evaluate(pipeline, out, tmp_path / "run" / "samples.csv") == 1
+    err = capsys.readouterr().err
+    assert "generated: the generated set for alpha 0 holds 3 images; " \
+        "knn_k=3 needs at least 4" in err
+    assert not list(out.glob("*_config.txt"))
+
+
+def test_evaluate_rejects_a_real_subset_too_small_for_knn_k(pipeline,
+                                                            tmp_path, capsys):
+    # 6 generated images of class 0 per alpha meet the test split's 2
+    samples = _rewrite_samples(pipeline, tmp_path / "samples.csv", label="0")
+    out = tmp_path / "eval"
+    assert _evaluate(pipeline, out, samples, "knn_k=2") == 1
+    err = capsys.readouterr().err
+    assert "split: the class-matched test subset for alpha 0 holds 2 " \
+        "images; knn_k=2 needs at least 3" in err
+    assert not list(out.glob("*_config.txt"))
+
+
+def test_evaluate_rejects_a_non_numeric_alpha(pipeline, tmp_path, capsys):
+    samples = _rewrite_samples(pipeline, tmp_path / "samples.csv",
+                               alpha="high")
+    out = tmp_path / "eval"
+    assert _evaluate(pipeline, out, samples, "knn_k=2") == 1
+    assert "generated: alpha 'high' is not a number" \
+        in capsys.readouterr().err
+    assert not list(out.glob("*_config.txt"))
+
+
+def test_compare_models_rejects_sets_too_small_for_knn_k(pipeline, tmp_path,
+                                                         capsys):
+    vae, ddpm = pipeline / "vae.qldm", pipeline / "ddpm.qldm"
+    code = main(["compare-models", "--out", str(tmp_path),
+                 "--set", f"data={pipeline / 'dataset' / 'manifest.csv'}",
+                 "--set", "variants=base",
+                 "--set", f"base_vae={vae}", "--set", f"base_ddpm={ddpm}",
+                 "--set", "n_per_class=1", "--set", "steps=2"])
+    assert code == 1
+    assert "n_per_class: the generated set for variant base holds 3 " \
+        "images; knn_k=3 needs at least 4" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_config.txt"))
 
 
 def test_module_entry_point(tmp_path):

@@ -20,7 +20,7 @@ from qlatent.diagnostics import (
     run_gv_sweep,
     variance_stderr,
 )
-from qlatent.statevector import Circuit, GateOp, SimulationError, run_circuit
+from qlatent.statevector import Circuit, GateOp, run_circuit
 
 
 def _finite_difference(circuit, params, idx, cost_qubit=0, h=1e-6):
@@ -124,11 +124,16 @@ def test_gradient_samples_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def test_zero_gradient_samples_raise_a_simulation_error():
+def test_gradient_samples_must_be_positive():
     spec = AnsatzSpec(AnsatzKind.BE, 3, 2)
-    circuit = build_ansatz(spec, np.zeros(param_count(spec)))
-    with pytest.raises(SimulationError, match=r"params shape \(0, "):
-        first_param_gradient_samples(circuit, 0, seed=5)
+    inside = build_ansatz(spec, np.zeros(param_count(spec)))
+    # slot 0 lies outside the cost qubit's light cone, so it would
+    # return zeros without simulating; it must be refused all the same
+    outside = _light_cone_example()
+    for samples in (0, -1):
+        for circuit in (inside, outside):
+            with pytest.raises(ValueError, match="samples must be >= 1"):
+                first_param_gradient_samples(circuit, samples, seed=5)
 
 
 def test_gradient_samples_validate_the_cost_qubit_before_simulating(

@@ -1,8 +1,9 @@
-"""Closed-form and cross-implementation checks for the sample metrics."""
+"""Closed-form and oracle checks for the sample metrics."""
 
 import numpy as np
 import pytest
 
+from oracles import precision_recall_oracle, windowed_ssim_oracle
 from qlatent.metrics import (
     MetricReport,
     cmmd_rbf,
@@ -13,7 +14,6 @@ from qlatent.metrics import (
     ssim_pairs,
 )
 from qlatent.tensor import Tensor
-from qlatent.vae import windowed_ssim
 
 RIDGE = 1e-6
 
@@ -165,14 +165,15 @@ def test_ssim_pairs_constant_images_closed_form():
     assert ssim_pairs(x, y) == pytest.approx(expected, rel=1e-12)
 
 
-def test_ssim_pairs_agrees_with_loss_side_implementation():
-    # two independent SSIM implementations (sliding windows here,
-    # depthwise convolution on the loss side) must agree
+def test_ssim_pairs_matches_conv_oracle():
+    # window means from block sums against a depthwise box conv2d, at
+    # the dataset's 32 px and the paper's 64 px
     rng = np.random.default_rng(9)
-    x = rng.random((2, 3, 32, 32))
-    y = np.clip(x + rng.normal(0.0, 0.1, x.shape), 0.0, 1.0)
-    loss_side = windowed_ssim(Tensor(x), Tensor(y)).item()
-    assert ssim_pairs(x, y) == pytest.approx(loss_side, abs=1e-9)
+    for size in (32, 64):
+        x = rng.random((2, 3, size, size))
+        y = np.clip(x + rng.normal(0.0, 0.1, x.shape), 0.0, 1.0)
+        want = windowed_ssim_oracle(Tensor(x), Tensor(y)).item()
+        assert ssim_pairs(x, y) == pytest.approx(want, abs=1e-12)
 
 
 def test_ssim_pairs_validation():
@@ -180,6 +181,8 @@ def test_ssim_pairs_validation():
         ssim_pairs(np.zeros((1, 1, 16, 16)), np.zeros((1, 1, 16, 8)))
     with pytest.raises(ValueError):
         ssim_pairs(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 4)))
+    with pytest.raises(ValueError, match=r"expected \(N, C, H, W\)"):
+        ssim_pairs(np.zeros((3, 16, 16)), np.zeros((3, 16, 16)))
 
 
 def test_precision_recall_identical_sets():
@@ -203,6 +206,26 @@ def test_precision_recall_mode_collapse():
     precision, recall = precision_recall_knn(real, fake)
     assert precision == 1.0
     assert recall < 0.5
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_precision_recall_matches_loop_oracle(k):
+    # small integer coordinates keep every squared distance exact, so
+    # duplicate points and ties on a k-NN radius must come out the same
+    # as in the loop; Gaussian sets cover the generic case
+    rng = np.random.default_rng(20 + k)
+    for trial in range(30):
+        d = int(rng.choice([2, 3, 8]))
+        n, m = rng.integers(k + 1, k + 12, size=2)
+        if trial % 2:
+            real = rng.standard_normal((n, d))
+            fake = rng.standard_normal((m, d)) + rng.choice([0.0, 0.7])
+        else:
+            real = rng.integers(0, 3, (n, d)).astype(float)
+            fake = rng.integers(0, 3, (m, d)).astype(float)
+            fake[0] = real[0]
+        assert precision_recall_knn(real, fake, k=k) \
+            == precision_recall_oracle(real, fake, k)
 
 
 def test_precision_recall_validation():

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import check_grads, record_graph_nodes, windowed_ssim_oracle
 from qlatent.layers import QResBlock, ResBlock
+from qlatent.metrics import windowed_ssim
 from qlatent.optim import Adam
 from qlatent.tensor import Tensor
 from qlatent.vae import (
@@ -11,7 +12,6 @@ from qlatent.vae import (
     encode_dataset,
     vae_loss,
     vae_train_step,
-    windowed_ssim,
 )
 
 
