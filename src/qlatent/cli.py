@@ -197,6 +197,34 @@ def _load_model(path_text: str, key: str, kind: str):
     return model, ckpt.config
 
 
+def _load_pair(cfg: dict, vae_key: str, ddpm_key: str):
+    """(vae, unet, schedule, latent scale) from a matching checkpoint pair."""
+    vae, _ = _load_model(cfg[vae_key], vae_key, "vae")
+    unet, echo = _load_model(cfg[ddpm_key], ddpm_key, "unet")
+    if unet.config.latent_size != vae.config.latent_size \
+            or unet.config.latent_channels != vae.config.latent_channels:
+        raise ValueError("checkpoint mismatch: the UNet latent geometry "
+                         "does not match the autoencoder")
+    schedule = build_schedule(echo["timesteps"], echo["beta_start"],
+                              echo["beta_end"])
+    return vae, unet, schedule, echo["latent_scale"]
+
+
+def _generate(pair, labels: np.ndarray, seed: int, a_idx: int, steps: int,
+              batch_size: int, settings) -> np.ndarray:
+    """Images for ``labels`` from the stream ``(seed, a_idx)``, quantised
+    as ``write_ppm`` stores them; ``settings`` None samples exactly."""
+    vae, unet, schedule, scale = pair
+    for model in (vae, unet):
+        set_sampling(model, settings)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, a_idx)))
+    images = generate_images(vae, unet, schedule, labels.size, labels, rng,
+                             scale, steps=steps, batch_size=batch_size)
+    for model in (vae, unet):
+        set_sampling(model, None)
+    return np.clip(np.round(images * 255), 0, 255) / 255
+
+
 def _quantum_log(model) -> tuple[str, list[str]]:
     """Log lines: the quantum-layer count, and each layer's circuit size."""
     layers = [m for m in model.iter_modules()
@@ -298,8 +326,8 @@ def run_bench(cfg: dict, out: Path, ctx: dict) -> None:
     row_seed = cfg["seed"]
     for kind in kinds:
         track = per_kind.setdefault(kind, {
-            "params": [], "gv": [], "ee": [], "raw": [], "mit": [],
-            "ctl": []})
+            "params": [], "gv": [], "ee": [], "raw": [], "mitigated": [],
+            "control": []})
         for n in qubits:
             spec = AnsatzSpec(kind, n, layers)
             pcount = param_count(spec)
@@ -337,8 +365,8 @@ def run_bench(cfg: dict, out: Path, ctx: dict) -> None:
             track["gv"].append(gv)
             track["ee"].append(ee_mean)
             track["raw"].append(raw_h)
-            track["mit"].append(mit_h)
-            track["ctl"].append(control)
+            track["mitigated"].append(mit_h)
+            track["control"].append(control)
             row_seed += 100
     _write_csv(out / "ansatz_bench.csv",
                ["kind", "n_qubits", "n_layers", "param_count",
@@ -370,17 +398,10 @@ def run_bench(cfg: dict, out: Path, ctx: dict) -> None:
                     tuple(per_kind[k]["ee"])) for k in kinds],
         title="entanglement entropy", xlabel="parameters",
         ylabel="EE (nats)")
-    hamming_series = []
-    for k in kinds:
-        hamming_series.append(LineSeries(
-            f"{k.value} raw", tuple(per_kind[k]["params"]),
-            tuple(per_kind[k]["raw"])))
-        hamming_series.append(LineSeries(
-            f"{k.value} mitigated", tuple(per_kind[k]["params"]),
-            tuple(per_kind[k]["mit"])))
-        hamming_series.append(LineSeries(
-            f"{k.value} control", tuple(per_kind[k]["params"]),
-            tuple(per_kind[k]["ctl"])))
+    hamming_series = [
+        LineSeries(f"{k.value} {key}", tuple(per_kind[k]["params"]),
+                   tuple(per_kind[k][key]))
+        for k in kinds for key in ("raw", "mitigated", "control")]
     write_line_plot(out / "hamming_vs_params.svg", hamming_series,
                     title="noisy Hamming distance", xlabel="parameters",
                     ylabel="expected Hamming distance")
@@ -568,18 +589,14 @@ SCHEMA_SAMPLE = [
 
 
 def check_sample(cfg: dict, out: Path) -> dict:
-    vae, _ = _load_model(cfg["vae_checkpoint"], "vae_checkpoint", "vae")
-    unet, echo = _load_model(cfg["ddpm_checkpoint"], "ddpm_checkpoint",
-                             "unet")
-    if unet.config.latent_size != vae.config.latent_size \
-            or unet.config.latent_channels != vae.config.latent_channels:
-        raise ValueError("checkpoint mismatch: the UNet latent geometry "
-                         "does not match the autoencoder")
+    pair = _load_pair(cfg, "vae_checkpoint", "ddpm_checkpoint")
     alphas = _parse_floats(cfg["alphas"])
     if not alphas:
         raise ValueError("alphas: need at least one value")
-    if len(set(alphas)) != len(alphas):
-        raise ValueError("alphas: duplicate values")
+    written = [f"{a:g}" for a in alphas]
+    clash = [repr(a) for a, w in zip(alphas, written) if written.count(w) > 1]
+    if clash:
+        raise ValueError(f"alphas: {', '.join(clash)} print as one value")
     _require_min(cfg, n_per_class=1, steps=2, batch_size=1)
     # the noise model per alpha, None for exact runs; any nonzero setting
     # builds one, so values out of range are rejected here
@@ -588,19 +605,12 @@ def check_sample(cfg: dict, out: Path) -> dict:
               if a or cfg["p1"] or cfg["p2"] else None for a in alphas]
     if cfg["shots"] < cfg["trajectories"]:
         raise ValueError("shots: must be >= trajectories")
-    schedule = build_schedule(echo["timesteps"], echo["beta_start"],
-                              echo["beta_end"])
-    return {"vae": vae, "unet": unet, "schedule": schedule,
-            "scale": echo["latent_scale"], "alphas": alphas,
-            "noises": noises}
+    return {"pair": pair, "alphas": alphas, "noises": noises}
 
 
 def run_sample(cfg: dict, out: Path, ctx: dict) -> None:
-    vae, unet = ctx["vae"], ctx["unet"]
-    schedule, scale = ctx["schedule"], ctx["scale"]
-    k = cfg["n_per_class"]
-    num_classes = unet.config.num_classes
-    labels = np.repeat(np.arange(num_classes), k)
+    labels = np.repeat(np.arange(ctx["pair"][1].config.num_classes),
+                       cfg["n_per_class"])
     n = labels.size
     manifest_rows = []
     for a_idx, (alpha, noise) in enumerate(zip(ctx["alphas"],
@@ -608,13 +618,8 @@ def run_sample(cfg: dict, out: Path, ctx: dict) -> None:
         settings = None if noise is None else SamplingSettings(
             cfg["shots"], noise, seed=cfg["seed"] + 7919 * a_idx,
             mitigate=cfg["mitigate"])
-        for model in (vae, unet):
-            set_sampling(model, settings)
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg["seed"], a_idx)))
-        images = generate_images(vae, unet, schedule, n, labels, rng,
-                                 scale, steps=cfg["steps"],
-                                 batch_size=cfg["batch_size"])
+        images = _generate(ctx["pair"], labels, cfg["seed"], a_idx,
+                           cfg["steps"], cfg["batch_size"], settings)
         tag = _alpha_tag(alpha)
         set_dir = out / "samples" / tag
         set_dir.mkdir(parents=True, exist_ok=True)
@@ -623,8 +628,6 @@ def run_sample(cfg: dict, out: Path, ctx: dict) -> None:
             write_ppm(set_dir / name, images[i].transpose(1, 2, 0))
             manifest_rows.append([f"{alpha:g}", f"samples/{tag}/{name}",
                                   int(labels[i])])
-    for model in (vae, unet):
-        set_sampling(model, None)
     _write_csv(out / "samples.csv", ["alpha", "filename", "label"],
                manifest_rows)
     (out / "sample_log.txt").write_text(
@@ -705,22 +708,38 @@ def _require_scorable(cfg: dict, gen_key: str, what: str,
                 f"knn_k={cfg['knn_k']} needs at least {need}")
 
 
-def _match_class_proportions(real_images, real_labels, gen_labels,
-                             rng: np.random.Generator,
-                             warnings: list[str]) -> np.ndarray:
-    """Real subset whose class counts mirror the generated set."""
-    picks = []
+def _score(cfg: dict, ctx: dict, gen_images: np.ndarray,
+           gen_labels: np.ndarray, warnings: list[str]):
+    """(n_real, report) against a real subset whose class counts mirror
+    the generated set; both sets go in class order, generated images
+    without a real partner last, so every SSIM pair shares a label."""
+    rng = np.random.default_rng(cfg["seed"])
+    picks, paired, unpaired = [], [], []
     for cls in np.unique(gen_labels):
-        need = int(np.sum(gen_labels == cls))
-        have = np.flatnonzero(real_labels == cls)
-        if have.size < need:
+        gen = np.flatnonzero(gen_labels == cls)
+        have = np.flatnonzero(ctx["real_labels"] == cls)
+        if have.size < gen.size:
             warnings.append(
                 f"class {cls}: only {have.size} real images for "
-                f"{need} generated; using all {have.size}")
+                f"{gen.size} generated; using all {have.size}")
             picks.append(have)
         else:
-            picks.append(rng.permutation(have)[:need])
-    return real_images[np.sort(np.concatenate(picks))]
+            picks.append(np.sort(rng.permutation(have)[:gen.size]))
+        paired.append(gen[:picks[-1].size])
+        unpaired.append(gen[picks[-1].size:])
+    real = ctx["real_images"][np.concatenate(picks)]
+    report = evaluate_sets(real, gen_images[np.concatenate(paired + unpaired)],
+                           method=cfg["embed_method"], seed=cfg["seed"],
+                           k=cfg["knn_k"])
+    return real.shape[0], report
+
+
+def _write_log(path: Path, log: list[str], warnings: list[str]) -> None:
+    """Write ``log`` and the warnings to ``path``; echo the warnings."""
+    warned = [f"warning: {w}" for w in warnings]
+    path.write_text("\n".join(log + warned) + "\n")
+    for line in warned:
+        print(line, file=sys.stderr)
 
 
 def run_evaluate(cfg: dict, out: Path, ctx: dict) -> None:
@@ -729,23 +748,13 @@ def run_evaluate(cfg: dict, out: Path, ctx: dict) -> None:
     alphas = sorted(ctx["generated"], key=float)
     for alpha in alphas:
         gen_images, gen_labels = ctx["generated"][alpha]
-        rng = np.random.default_rng(cfg["seed"])
-        real = _match_class_proportions(
-            ctx["real_images"], ctx["real_labels"], gen_labels, rng,
-            warnings)
-        report = evaluate_sets(real, gen_images,
-                               method=cfg["embed_method"],
-                               seed=cfg["seed"], k=cfg["knn_k"])
-        rows.append([alpha, real.shape[0], gen_images.shape[0]]
-                    + report.csv_row())
+        n_real, report = _score(cfg, ctx, gen_images, gen_labels, warnings)
+        rows.append([alpha, n_real, gen_images.shape[0], *report.csv_row()])
     _write_csv(out / "metrics.csv",
                ["alpha", "n_real", "n_generated",
                 *MetricReport.CSV_HEADER], rows)
-    log = [f"alphas evaluated = {', '.join(alphas)}"]
-    log += [f"warning: {w}" for w in warnings]
-    (out / "evaluate_log.txt").write_text("\n".join(log) + "\n")
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _write_log(out / "evaluate_log.txt",
+               [f"alphas evaluated = {', '.join(alphas)}"], warnings)
 
 
 # ---- compare-models ----------------------------------------------------
@@ -786,16 +795,14 @@ def check_compare(cfg: dict, out: Path) -> dict:
     variants = {}
     for name in names:
         try:
-            vae, _ = _load_model(cfg[f"{name}_vae"], f"{name}_vae", "vae")
-            unet, echo = _load_model(cfg[f"{name}_ddpm"], f"{name}_ddpm",
-                                     "unet")
+            pair = _load_pair(cfg, f"{name}_vae", f"{name}_ddpm")
         except ValueError as exc:
             raise ValueError(f"variant {name}: {exc}") from None
-        labels = np.repeat(np.arange(unet.config.num_classes),
+        labels = np.repeat(np.arange(pair[1].config.num_classes),
                            cfg["n_per_class"])
         _require_scorable(cfg, "n_per_class", f"variant {name}", labels,
                           real_labels)
-        variants[name] = (vae, unet, echo, labels)
+        variants[name] = (pair, labels)
     return {"names": names, "variants": variants,
             "real_images": real_images, "real_labels": real_labels}
 
@@ -804,18 +811,12 @@ def run_compare(cfg: dict, out: Path, ctx: dict) -> None:
     rows = []
     warnings: list[str] = []
     for name in ctx["names"]:
-        vae, unet, echo, labels = ctx["variants"][name]
-        schedule = build_schedule(echo["timesteps"], echo["beta_start"],
-                                  echo["beta_end"])
-        rng = np.random.default_rng(cfg["seed"])
-        images = generate_images(vae, unet, schedule, labels.size, labels,
-                                 rng, echo["latent_scale"],
-                                 steps=cfg["steps"])
-        real = _match_class_proportions(
-            ctx["real_images"], ctx["real_labels"], labels,
-            np.random.default_rng(cfg["seed"]), warnings)
-        report = evaluate_sets(real, images, method=cfg["embed_method"],
-                               seed=cfg["seed"], k=cfg["knn_k"])
+        pair, labels = ctx["variants"][name]
+        # sample's alpha-index-0 set at its default batch, exact
+        images = _generate(pair, labels, cfg["seed"], 0, cfg["steps"], 16,
+                           None)
+        _, report = _score(cfg, ctx, images, labels, warnings)
+        vae, unet = pair[:2]
         layers = [m for model in (vae, unet) for m in model.iter_modules()
                   if isinstance(m, QuantumLayer)]
         nodes = cfg[f"{name}_cdcnn_nodes"]
@@ -827,11 +828,8 @@ def run_compare(cfg: dict, out: Path, ctx: dict) -> None:
                ["variant", "vae_params", "unet_params", "quantum_layers",
                 "quantum_params_per_layer", "cdcnn_added_params",
                 *MetricReport.CSV_HEADER], rows)
-    log = [f"variants = {', '.join(ctx['names'])}"]
-    log += [f"warning: {w}" for w in warnings]
-    (out / "compare_models_log.txt").write_text("\n".join(log) + "\n")
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _write_log(out / "compare_models_log.txt",
+               [f"variants = {', '.join(ctx['names'])}"], warnings)
 
 
 # ---- driver ------------------------------------------------------------

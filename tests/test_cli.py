@@ -16,13 +16,14 @@ from qlatent.ansatz import AnsatzKind, AnsatzSpec, build_ansatz, param_count
 from qlatent.checkpoint import (config_from_echo, load_checkpoint,
                                 save_checkpoint, state_dict)
 from qlatent.cli import main
-from qlatent.data import read_ppm
+from qlatent.data import load_split, read_ppm
 from qlatent.diffusion import UNet, UNetConfig
 from qlatent.layers import QuantumLayer
 from qlatent.noise import (ConfusionMatrix, EmpiricalDistribution, NoiseModel,
                            expected_hamming_distance, mitigate_confusion,
                            sample_noisy)
 from qlatent.statevector import index_to_bitstring, run_circuit
+from qlatent.vae import VAE, VAEConfig
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,117 @@ def test_compare_models_missing_checkpoint(pipeline, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "variant only" in err and "/missing/vae.qldm" in err
+
+
+def test_compare_models_rejects_a_mismatched_pair(pipeline, tmp_path,
+                                                  capsys):
+    # a 2-channel autoencoder next to a UNet trained on 4 latent channels
+    echo = dict(load_checkpoint(pipeline / "vae.qldm").config,
+                latent_channels=2)
+    vae = tmp_path / "vae2.qldm"
+    save_checkpoint(vae, "vae", echo,
+                    state_dict(VAE(config_from_echo(VAEConfig, echo))))
+    out = tmp_path / "out"
+    code = main(["compare-models", "--out", str(out),
+                 "--set", f"data={pipeline / 'dataset' / 'manifest.csv'}",
+                 "--set", "variants=narrow",
+                 "--set", f"narrow_vae={vae}",
+                 "--set", f"narrow_ddpm={pipeline / 'ddpm.qldm'}",
+                 "--set", "n_per_class=2", "--set", "knn_k=2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "variant narrow" in err and "checkpoint mismatch" in err
+    assert not list(out.glob("*_config.txt"))
+
+
+def test_compare_models_equals_sample_then_evaluate(pipeline, tmp_path,
+                                                    monkeypatch):
+    vae, ddpm = pipeline / "vae.qldm", pipeline / "ddpm.qldm"
+    manifest = pipeline / "dataset" / "manifest.csv"
+    assert main(["sample", "--out", str(tmp_path / "sample"),
+                 "--set", f"vae_checkpoint={vae}",
+                 "--set", f"ddpm_checkpoint={ddpm}", "--set", "seed=3",
+                 "--set", "n_per_class=2", "--set", "steps=3",
+                 "--set", "alphas=0"]) == 0
+    assert main(["evaluate", "--out", str(tmp_path / "eval"),
+                 "--set", f"data={manifest}", "--set", "seed=3",
+                 "--set", f"generated={tmp_path / 'sample' / 'samples.csv'}",
+                 "--set", "knn_k=2"]) == 0
+    generated = []
+    generate = cli._generate
+
+    def recording(*args):
+        generated.append(generate(*args))
+        return generated[-1]
+
+    monkeypatch.setattr(cli, "_generate", recording)
+    assert main(["compare-models", "--out", str(tmp_path / "compare"),
+                 "--set", f"data={manifest}", "--set", "seed=3",
+                 "--set", "variants=q",
+                 "--set", f"q_vae={vae}", "--set", f"q_ddpm={ddpm}",
+                 "--set", "n_per_class=2", "--set", "steps=3",
+                 "--set", "knn_k=2"]) == 0
+    written = sorted((tmp_path / "sample" / "samples" / "a0").iterdir())
+    assert len(generated) == 1 and len(written) == 6
+    np.testing.assert_array_equal(
+        generated[0], np.stack([read_ppm(p).transpose(2, 0, 1)
+                                for p in written]))
+    compared = (tmp_path / "compare" / "compare_models.csv") \
+        .read_text().splitlines()[1].split(",")
+    evaluated = (tmp_path / "eval" / "metrics.csv") \
+        .read_text().splitlines()[1].split(",")
+    assert evaluated[0] == "0"
+    assert compared[6:] == evaluated[3:]
+
+
+@pytest.mark.parametrize("labels", [None, "2,0,1,0,1,0"])
+def test_evaluate_pairs_ssim_within_a_class(pipeline, tmp_path, monkeypatch,
+                                            labels):
+    # "2,0,1,0,1,0" relabels the alpha-0 set so that class 0 holds 3
+    # generated images against the test split's 2
+    samples = pipeline / "samples.csv"
+    rows = [line.split(",") for line in samples.read_text().splitlines()[1:]]
+    if labels is not None:
+        rows = [[a, str(pipeline / f), lab] for (a, f, _), lab
+                in zip(rows, labels.split(","))]
+        samples = tmp_path / "samples.csv"
+        samples.write_text("alpha,filename,label\n" + "".join(
+            ",".join(r) + "\n" for r in rows))
+    gen = [(read_ppm(pipeline / f).transpose(2, 0, 1), int(lab))
+           for _, f, lab in rows]
+    real_images, real_labels = load_split(pipeline / "dataset" /
+                                          "manifest.csv", "test")
+    real = list(zip(real_images, real_labels))
+    calls = []
+    evaluate_sets = cli.evaluate_sets
+
+    def recording(real_set, gen_set, **kwargs):
+        calls.append((real_set, gen_set))
+        return evaluate_sets(real_set, gen_set, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_sets", recording)
+    assert _evaluate(pipeline, tmp_path / "eval", samples, "knn_k=2") == 0
+
+    def label(image, pool):
+        return [lab for im, lab in pool if np.array_equal(im, image)][0]
+
+    assert len(calls) == len({a for a, _, _ in rows})
+    for r, g in calls:
+        n = min(len(r), len(g))
+        assert n >= 5
+        assert [label(x, real) for x in r[:n]] \
+            == [label(x, gen) for x in g[:n]]
+
+
+def test_sample_rejects_alphas_that_print_alike(pipeline, tmp_path, capsys):
+    code = main(["sample", "--out", str(tmp_path),
+                 "--set", f"vae_checkpoint={pipeline / 'vae.qldm'}",
+                 "--set", f"ddpm_checkpoint={pipeline / 'ddpm.qldm'}",
+                 "--set", "alphas=0.1234567,0.1234568"])
+    assert code == 1
+    assert "alphas: 0.1234567, 0.1234568 print as one value" \
+        in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_config.txt"))
 
 
 def test_quantum_train_logs_parameter_count(pipeline, tmp_path):
