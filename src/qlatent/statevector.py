@@ -5,19 +5,19 @@ bit of the basis-state index, so basis state ``i`` assigns bit
 ``(i >> q) & 1`` to qubit ``q``.  Bitstrings are written with qubit 0 as
 the first character ("10" means qubit0=1, qubit1=0).
 
-A circuit compiles once into a plan (gate fusion as in qsim, Isakov et
-al. 2021), cached by structure, that serves exact, Pauli-trajectory and
-adjoint runs on a rows-last (2**n, k) state, so each op runs
-contiguously over at least the k rows.  Its stages: a closed-form
-product state from each qubit's first gate; runs of one-qubit gates with
-the same angles in every row (fixed or ``shared``) as Kronecker blocks
-on up to four adjacent qubits, one matmul each, with at most one gate
-per qubit in a block (a second gate on a qubit starts a new run); runs
-of gates with per-row angles on distinct qubits as per-row Kronecker
-blocks on the same windows, one batched matmul each on a rows-first copy
-of the state; each CNOT/CZ/SWAP run as one index gather and sign mask.
-Pauli codes run the same plan: after a one-qubit op they follow its
-stage, and after a CNOT/CZ/SWAP its run, moved through the run's later
+A circuit compiles once into a plan (gate fusion as in qsim, Isakov et al.
+2021), cached by structure, that serves exact, Pauli-trajectory and
+adjoint runs of k rows.  Its stages: a closed-form product state from each
+qubit's first gate; runs of one-qubit gates with the same angles in every
+row (fixed or ``shared``) as Kronecker blocks on up to four adjacent
+qubits, one matmul each on the rows-last (2**n, k) state, with at most one
+gate per qubit in a block (a second gate on a qubit starts a new run);
+runs of gates with per-row angles on distinct qubits as per-row Kronecker
+blocks on the same windows, one batched matmul each on the rows-first (k,
+2**n) state; each CNOT/CZ/SWAP run as one index gather and sign mask in
+either layout, so a run changes layout only between a block and a per-row
+stage.  Pauli codes run the same plan: after a one-qubit op they follow
+its stage, and after a CNOT/CZ/SWAP its run, moved through the run's later
 gates by the tableau rules (Aaronson & Gottesman 2004), on the rows they
 hit.  A circuit of only RY, CNOT, CZ and SWAP, run without Pauli codes,
 stays in float64.  Callers see (k, 2**n) complex128 amplitudes.
@@ -33,7 +33,9 @@ import numpy as np
 
 MAX_QUBITS = 20
 
-GATE_PARAM_COUNTS = {"RY": 1, "RZ": 1, "U3": 3, "CNOT": 0, "CZ": 0, "SWAP": 0}
+# kind -> (angle count, target count)
+GATE_ARITY = {"RY": (1, 1), "RZ": (1, 1), "U3": (3, 1),
+              "CNOT": (0, 2), "CZ": (0, 2), "SWAP": (0, 2)}
 TWO_QUBIT_GATES = ("CNOT", "CZ", "SWAP")
 
 
@@ -41,7 +43,7 @@ class SimulationError(ValueError):
     """Raised for malformed gates, states, or circuit bindings."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateOp:
     """One gate application: kind, target qubits, and concrete angles."""
 
@@ -50,17 +52,16 @@ class GateOp:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in GATE_PARAM_COUNTS:
+        if self.kind not in GATE_ARITY:
             raise SimulationError(f"unknown gate kind {self.kind!r}")
-        want = GATE_PARAM_COUNTS[self.kind]
+        want, n_targets = GATE_ARITY[self.kind]
         if len(self.params) != want:
             raise SimulationError(
                 f"{self.kind} takes {want} params, got {len(self.params)}")
-        n_targets = 2 if self.kind in TWO_QUBIT_GATES else 1
         if len(self.targets) != n_targets:
             raise SimulationError(
                 f"{self.kind} acts on {n_targets} qubits, got {self.targets}")
-        if len(set(self.targets)) != len(self.targets):
+        if n_targets == 2 and self.targets[0] == self.targets[1]:
             raise SimulationError(f"duplicate targets {self.targets}")
 
 
@@ -81,6 +82,20 @@ class Circuit:
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise SimulationError(
                 f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        for op in self.ops:
+            self._check_targets(op.targets)
+        free = {(i, a) for i, op in enumerate(self.ops)
+                for a in range(len(op.params))}
+        for slot in map(tuple, self.param_slots):
+            if slot not in free:
+                raise SimulationError(f"slot {slot} names no unbound op angle")
+            free.remove(slot)
+
+    def _check_targets(self, targets):
+        for q in targets:
+            if not 0 <= q < self.n_qubits:
+                raise SimulationError(
+                    f"target {q} out of range for {self.n_qubits} qubits")
 
     @property
     def n_params(self) -> int:
@@ -90,10 +105,7 @@ class Circuit:
             params: tuple[float, ...] = (), trainable: bool = False):
         """Append a gate; with trainable=True every angle becomes a slot."""
         op = GateOp(kind, targets, params)
-        for q in targets:
-            if not 0 <= q < self.n_qubits:
-                raise SimulationError(
-                    f"target {q} out of range for {self.n_qubits} qubits")
+        self._check_targets(targets)
         idx = len(self.ops)
         self.ops.append(op)
         if trainable:
@@ -213,15 +225,21 @@ def _apply_block(psi, tmp, lo: int, w: int, mat: np.ndarray):
     return tmp, psi
 
 
-def _apply_perm(psi, tmp, perm, neg):
-    """psi[i] <- +-psi[perm[i]], minus where ``neg`` (either may be None);
-    returns (psi, tmp)."""
+def _apply_perm(psi, tmp, perm, neg, rows_first=False):
+    """psi[i] <- +-psi[perm[i]] on the basis axis, the last if rows-first,
+    minus where ``neg`` (either may be None); returns (psi, tmp)."""
     if perm is not None:
-        np.take(psi, perm, axis=0, out=tmp, mode="clip")
+        np.take(psi, perm, axis=int(rows_first), out=tmp, mode="clip")
         psi, tmp = tmp, psi
     if neg is not None:
-        np.negative(psi, out=psi, where=neg[:, None])
+        np.negative(psi, out=psi, where=neg if rows_first else neg[:, None])
     return psi, tmp
+
+
+def _transpose(psi, tmp):
+    """``psi`` copied into ``tmp`` in the other layout; returns (psi, tmp)."""
+    np.copyto(tmp.reshape(psi.shape[::-1]), psi.T)
+    return tmp.reshape(psi.shape[::-1]), psi.reshape(psi.shape[::-1])
 
 
 def _permutation(n: int, gates) -> tuple:
@@ -280,11 +298,11 @@ def _compile(n, structure, slots, n_shared) -> SimpleNamespace:
         kind in _REAL_KINDS for kind, _ in structure) else np.complex128
     slot_of = {pos: s for s, pos in enumerate(slots)}
     p.fixed = [(i, a) for i, (kind, _) in enumerate(structure)
-               for a in range(GATE_PARAM_COUNTS[kind]) if (i, a) not in slot_of]
+               for a in range(GATE_ARITY[kind][0]) if (i, a) not in slot_of]
     slot_of.update({pos: len(slots) + j for j, pos in enumerate(p.fixed)})
     place, kinds = {}, {}  # op -> (g, uni); (kind, uni) -> (gs, sources)
     for i, (kind, _) in enumerate(structure):
-        src = [slot_of[i, a] for a in range(GATE_PARAM_COUNTS[kind])]
+        src = [slot_of[i, a] for a in range(GATE_ARITY[kind][0])]
         if src:
             place[i] = g, uni = len(place), min(src) >= p.n_row
             gs, idx = kinds.setdefault((kind, uni), ([], []))
@@ -413,26 +431,20 @@ def _kron(f: np.ndarray) -> np.ndarray:
     return m
 
 
-def _apply_rows(psi, tmp, mats, gates, wins):
-    """Per-row ops on distinct qubits; returns (psi, tmp).  A single op
-    runs through ``_apply_1q``; otherwise each window's (k, 2**w, 2**w)
-    per-row Kronecker blocks multiply a rows-first copy of the state."""
-    if len(gates) == 1:
-        _apply_1q(psi, tmp, gates[0][0], mats[:, :, gates[0][1]])
-        return psi, tmp
-    k = psi.shape[-1]
-    np.copyto(tmp.reshape(k, -1), psi.T)
-    src, dst = tmp, psi
+def _apply_rows(psi, tmp, mats, wins):
+    """Per-row ops on distinct qubits of a rows-first (k, 2**n) state, one
+    batched matmul by each window's (k, 2**w, 2**w) per-row Kronecker
+    blocks; returns (psi, tmp)."""
+    k = psi.shape[0]
     for lo, w, gs in wins:
         f = mats[:, :, gs].transpose(3, 2, 0, 1)
-        x, y = (a.reshape(k, -1, 1 << w, 1 << lo) for a in (src, dst))
+        x, y = (a.reshape(k, -1, 1 << w, 1 << lo) for a in (psi, tmp))
         if lo == 0:  # x @ m^T, m^T being the product of transposed factors
             np.matmul(x[..., 0], _kron(f.swapaxes(2, 3)), out=y[..., 0])
         else:
             np.matmul(_kron(f)[:, None], x, out=y)
-        src, dst = dst, src
-    np.copyto(dst, src.reshape(k, -1).T)
-    return dst, src
+        psi, tmp = tmp, psi
+    return psi, tmp
 
 
 def _insert_paulis(psi, circuit, plan, paulis, ops) -> None:
@@ -457,7 +469,10 @@ def _insert_paulis(psi, circuit, plan, paulis, ops) -> None:
 
 
 def _run(bound: SimpleNamespace, paulis: dict | None = None) -> np.ndarray:
-    """The rows-last (2**n, k) final state of a binding, with ``paulis``."""
+    """The (k, 2**n) final state of a binding, with ``paulis``: C-ordered
+    if the run ends rows-first, else a rows-last state's transposed view.
+    The state changes layout only where a stage needs the other: ``rows``
+    stages run rows-first, blocks rows-last, and the rest on either."""
     circuit, plan, mats = bound.circuit, bound.plan, bound.mats
     after = {}  # stage -> the ops whose codes follow it, in op order
     for i in sorted(paulis or ()):
@@ -473,17 +488,22 @@ def _run(bound: SimpleNamespace, paulis: dict | None = None) -> np.ndarray:
     if -1 in after:
         _insert_paulis(psi, circuit, plan, paulis, after[-1])
     tmp = np.empty_like(psi)
-    for s, stage in enumerate(plan.stages):
-        if stage[0] == "block":
-            lo, w, _ = plan.blocks[stage[1]]
-            psi, tmp = _apply_block(psi, tmp, lo, w, bound.blocks[stage[1]])
-        elif stage[0] == "rows":
-            psi, tmp = _apply_rows(psi, tmp, mats, *stage[1:])
+    rows_first = False  # psi is (k, 2**n), not (2**n, k)
+    for s, (kind, *args) in enumerate(plan.stages):
+        if kind != "perm" and rows_first == (kind == "block"):
+            psi, tmp = _transpose(psi, tmp)
+            rows_first = not rows_first
+        if kind == "block":
+            lo, w, _ = plan.blocks[args[0]]
+            psi, tmp = _apply_block(psi, tmp, lo, w, bound.blocks[args[0]])
+        elif kind == "rows":
+            psi, tmp = _apply_rows(psi, tmp, mats, args[1])
         else:
-            psi, tmp = _apply_perm(psi, tmp, *stage[1:])
-        if after and s in after:
-            _insert_paulis(psi, circuit, plan, paulis, after[s])
-    return psi
+            psi, tmp = _apply_perm(psi, tmp, *args, rows_first)
+        if after and s in after:  # on the (2**n, k) view of either layout
+            _insert_paulis(psi.T if rows_first else psi, circuit, plan,
+                           paulis, after[s])
+    return psi if rows_first else psi.T
 
 
 def run_circuit_batch(circuit: Circuit, params: np.ndarray,
@@ -493,8 +513,8 @@ def run_circuit_batch(circuit: Circuit, params: np.ndarray,
 
     ``params`` (k, n_params - S) binds the first slots per row and
     ``shared`` (length S) the last S slots for every row.  Returns (k,
-    2**n_qubits) complex amplitudes.  The rows run as one rows-last
-    state through the circuit's compiled plan.
+    2**n_qubits) complex amplitudes.  The rows run as one state through
+    the circuit's compiled plan.
 
     ``paulis`` optionally maps an op index to per-row Pauli codes, as
     noise trajectories insert their errors: right after that op, row b
@@ -502,7 +522,7 @@ def run_circuit_batch(circuit: Circuit, params: np.ndarray,
     op c >> 2 on targets[0] and c & 3 on targets[1].
     """
     psi = _run(_prepare(circuit, params, shared), paulis)
-    return np.ascontiguousarray(psi.T, dtype=np.complex128)
+    return np.ascontiguousarray(psi, dtype=np.complex128)
 
 
 @functools.lru_cache(maxsize=8)
@@ -567,15 +587,15 @@ def z_expectations(circuit: Circuit, params: np.ndarray,
     """
     bound = _prepare(circuit, params, shared)
     plan, k, n = bound.plan, bound.k, circuit.n_qubits
-    final = _run(bound)
+    final = _run(bound).T  # rows-last, for the sweep
     z = pauli_z_expectations_batch(final.T.astype(complex, order="C"), n)
 
     def vjp(weights: np.ndarray):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (k, n):
             raise SimulationError(f"weights {weights.shape} are not {(k, n)}")
-        # state[0] holds lambda and state[1] phi, so one apply moves both
-        state = np.stack([final, final])
+        # state[0] = lambda, state[1] = phi, C-ordered: one apply moves both
+        state = np.broadcast_to(final, (2,) + final.shape).copy()
         state[0] *= _z_signs(n) @ weights.T
         tmp = np.empty_like(state)
         # overlaps M after U^dag: per op and row (the identity's entry takes

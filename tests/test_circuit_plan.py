@@ -333,6 +333,121 @@ def test_rows_stages_allocate_no_state_sized_buffer():
     assert peak <= 3 * 16 * 2 ** 10 * 200
 
 
+def _count_layout_changes(monkeypatch):
+    """A list that grows by one at each call of ``statevector._transpose``."""
+    calls, transpose = [], statevector._transpose
+
+    def counted(psi, tmp):
+        calls.append(psi.shape)
+        return transpose(psi, tmp)
+
+    monkeypatch.setattr(statevector, "_transpose", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 3, 200])
+@pytest.mark.parametrize("kind", list(AnsatzKind))
+def test_template_runs_equal_gate_by_gate_kernels(kind, k):
+    # at 9 and 12 qubits a layer's rows stage has three windows, and every
+    # template's run ends rows-first; apply_gate runs each gate on a
+    # rows-last one-row state
+    rng = np.random.default_rng(len(kind.value) * 1000 + k)
+    for n in (4, 5, 9, 12):
+        spec = AnsatzSpec(kind, n, 3)
+        circuit = build_ansatz(spec, np.zeros(param_count(spec)))
+        params = rng.uniform(0, 2 * np.pi, (k, circuit.n_params))
+        amps = run_circuit_batch(circuit, params)
+        for b in sorted({0, k // 2, k - 1}):
+            state = run_circuit(Circuit(n))
+            for op in bind_params(circuit, params[b]).ops:
+                state = statevector.apply_gate(state, op)
+            np.testing.assert_allclose(amps[b], state.amplitudes,
+                                       rtol=0, atol=1e-12)
+
+
+def _alternating_circuit(rng, n, n_layers=4):
+    """Per-row layers on two or more qubits, each followed by a run of
+    CNOT/CZ/SWAP gates; every other layer, that run is followed by fixed
+    U3 gates (block stages), a second run and more fixed U3 gates."""
+    c = Circuit(n)
+    for layer in range(n_layers):
+        qs = rng.permutation(n)[:int(rng.integers(2, n + 1))]
+        for q in qs:
+            kind = str(rng.choice(["RY", "RZ", "U3"]))
+            c.add(kind, (int(q),), (0.0,) * (3 if kind == "U3" else 1),
+                  trainable=True)
+        for _ in range(1 + layer % 2):
+            for _ in range(int(rng.integers(1, n + 1))):
+                a, b = rng.choice(n, size=2, replace=False)
+                c.add(str(rng.choice(["CNOT", "CZ", "SWAP"])),
+                      (int(a), int(b)))
+            if layer % 2:
+                for q in rng.permutation(n)[:int(rng.integers(1, n + 1))]:
+                    c.add("U3", (int(q),), tuple(rng.uniform(0, 2 * np.pi, 3)))
+    return c
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rows_first_runs_with_paulis_match_dense_oracle(n, k):
+    # rows stages alternate with permutation runs and blocks, so the state
+    # turns rows-first and back; codes follow all three kinds of stage and
+    # go into rows-first states as well as rows-last ones
+    rng = np.random.default_rng(50 * n + k)
+    c = _alternating_circuit(rng, n)
+    params = rng.uniform(0, 2 * np.pi, (k, c.n_params))
+    paulis = {i: rng.integers(0, 16 if len(op.targets) == 2 else 4, k)
+              for i, op in enumerate(c.ops) if rng.random() < 0.4}
+    plan = statevector._plan(*_key(c, 0))
+    assert any(st[0] == "rows" and len(st[1]) > 1 for st in plan.stages)
+    assert {plan.stages[plan.stage_of[i]][0] for i in paulis
+            if plan.stage_of[i] >= 0} == {"rows", "perm", "block"}
+    got = run_circuit_batch(c, params, paulis)
+    for b in range(k):
+        np.testing.assert_allclose(
+            got[b], dense_run_with_paulis(c, params[b], paulis, b),
+            rtol=0, atol=1e-12)
+    exact = run_circuit_batch(c, params)
+    for b in range(k):
+        np.testing.assert_allclose(exact[b], dense_run(c, params[b]),
+                                   rtol=0, atol=1e-12)
+
+
+def test_adjoint_of_a_run_that_ends_rows_first(monkeypatch):
+    # encoder + SE 5q/2L with every angle per row, then one per-row RY:
+    # the run turns rows-first at the first U3 layer and stays so through
+    # the CNOT runs and the one-op rows stage at the end
+    spec = AnsatzSpec(AnsatzKind.SE, 5, 2)
+    c = build_trainable_encoder(5).extended(
+        build_ansatz(spec, np.zeros(param_count(spec))))
+    c.add("RY", (2,), (0.0,), trainable=True)
+    assert statevector._plan(*_key(c, 0)).stages[-1][0] == "rows"
+    rng = np.random.default_rng(9)
+    full = rng.uniform(0, 2 * np.pi, (3, c.n_params))
+    weights = rng.standard_normal((3, 5))
+    calls = _count_layout_changes(monkeypatch)
+    z, vjp = z_expectations(c, full)
+    assert len(calls) == 1
+    np.testing.assert_allclose(z, _dense_z(c, full), rtol=0, atol=1e-12)
+    got, _ = vjp(weights)
+    np.testing.assert_allclose(got, _dense_shift_gradients(c, full, weights),
+                               rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", list(AnsatzKind))
+def test_exact_template_runs_change_layout_once(kind, monkeypatch):
+    # S2D at 12 qubits x 6 layers has 12 rows stages of several ops: the
+    # state turns rows-first at the first and stays so to the end
+    spec = AnsatzSpec(kind, 12, 6)
+    circuit = build_ansatz(spec, np.zeros(param_count(spec)))
+    params = np.random.default_rng(4).uniform(0, 2 * np.pi,
+                                              (3, circuit.n_params))
+    calls = _count_layout_changes(monkeypatch)
+    amps = run_circuit_batch(circuit, params)
+    assert calls == [(2 ** 12, 3)]
+    assert amps.flags.c_contiguous and amps.shape == (3, 2 ** 12)
+
+
 def test_one_gate_per_qubit_runs_equal_the_unfused_kernel(monkeypatch,
                                                           request):
     # with blocks one qubit wide every shared gate is its own one-qubit

@@ -11,6 +11,7 @@ from oracles import (
 )
 from qlatent.statevector import (
     Circuit,
+    GateOp,
     SimulationError,
     StateVector,
     bind_params,
@@ -302,6 +303,23 @@ def test_invalid_gates_rejected():
         c.add("RY", (2,), (0.1,))
     with pytest.raises(SimulationError):
         c.add("RY", (0,), (0.1, 0.2))
+
+
+@pytest.mark.parametrize("ops, slots, match", [
+    ([GateOp("RY", (5,), (0.3,))], [], "target 5 out of range"),
+    ([GateOp("RY", (-1,), (0.3,))], [], "target -1 out of range"),
+    ([GateOp("CNOT", (0, 3))], [], "target 3 out of range"),
+    ([GateOp("RY", (0,), (0.3,))], [(3, 0)], r"\(3, 0\) names no unbound"),
+    ([GateOp("RY", (0,), (0.3,))], [(0, 1)], r"\(0, 1\) names no unbound"),
+    ([GateOp("CNOT", (0, 1))], [(0, 0)], r"\(0, 0\) names no unbound"),
+    ([GateOp("RY", (0,), (0.3,))], [(0, 0), (0, 0)],
+     r"\(0, 0\) names no unbound"),
+])
+def test_circuits_built_from_ops_and_slots_are_checked(ops, slots, match):
+    # the same target and slot checks as ``Circuit.add``, rather than a
+    # gate silently dropped, a bare IndexError/KeyError or a lost angle
+    with pytest.raises(SimulationError, match=match):
+        Circuit(2, ops, slots)
 
 
 def test_pauli_z_expectations_on_basis_states():
