@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzKind, AnsatzSpec
 from .layers import (
     Conv2d,
     Downsample,
     GroupNorm,
+    ModelConfig,
     Module,
-    QResBlock,
-    ResBlock,
     Upsample,
 )
 from .tensor import Tensor, concat, no_grad
@@ -75,48 +73,29 @@ def sinusoidal_time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class UNetConfig:
-    latent_channels: int = 4
+class UNetConfig(ModelConfig):
     latent_size: int = 8
-    base_channels: int = 32
     time_dim: int = 64
     num_classes: int = 3
-    quantum: bool = False
-    q_qubits: int = 4
-    q_layers: int = 2
-    q_kind: AnsatzKind = AnsatzKind.ESE2
 
     def __post_init__(self):
-        # a config rebuilt from JSON carries the kind as its string value
-        object.__setattr__(self, "q_kind", AnsatzKind(self.q_kind))
+        super().__post_init__()
         if self.latent_size < 4 or self.latent_size & (self.latent_size - 1):
             raise ValueError("latent_size must be a power of two, >= 4")
-        if self.base_channels < 4 or self.base_channels % 4:
-            raise ValueError("base_channels must be a multiple of 4, >= 4")
         if self.time_dim % 2:
             raise ValueError("time_dim must be even")
-
-    def ansatz_spec(self) -> AnsatzSpec:
-        return AnsatzSpec(self.q_kind, self.q_qubits, self.q_layers)
 
 
 class _DownStage(Module):
     def __init__(self, in_ch, out_ch, rng, cfg, with_down):
-        self.res = _make_block(in_ch, out_ch, rng, cfg)
+        self.res = cfg.res_block(in_ch, out_ch, rng, cfg.time_dim)
         self.down = Downsample(out_ch, rng) if with_down else None
 
 
 class _UpStage(Module):
     def __init__(self, in_ch, out_ch, rng, cfg, with_up, up_ch):
         self.up = Upsample(up_ch, rng) if with_up else None
-        self.res = _make_block(in_ch, out_ch, rng, cfg)
-
-
-def _make_block(in_ch, out_ch, rng, cfg: UNetConfig):
-    if cfg.quantum:
-        return QResBlock(in_ch, out_ch, rng, cfg.ansatz_spec(),
-                         time_dim=cfg.time_dim)
-    return ResBlock(in_ch, out_ch, rng, time_dim=cfg.time_dim)
+        self.res = cfg.res_block(in_ch, out_ch, rng, cfg.time_dim)
 
 
 class UNet(Module):
@@ -159,8 +138,8 @@ class UNet(Module):
             skip_chans.append(out_ch)
             in_ch = out_ch
 
-        self.mid1 = _make_block(in_ch, in_ch, rng, config)
-        self.mid2 = _make_block(in_ch, in_ch, rng, config)
+        self.mid1 = config.res_block(in_ch, in_ch, rng, config.time_dim)
+        self.mid2 = config.res_block(in_ch, in_ch, rng, config.time_dim)
 
         self.up_stages = []
         up_chans = [c * m for m in (4, 2, 2, 1, 1)]

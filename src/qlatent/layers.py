@@ -11,6 +11,8 @@ stays in ``diagnostics`` as its oracle and as the GV diagnostic's method.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .ansatz import (
@@ -208,7 +210,8 @@ class QuantumLayer(Module):
     exact and every circuit angle (encoder and ansatz) receives an exact
     adjoint gradient, which equals the parameter-shift one.  The output
     map starts at zero so a fresh layer is an identity perturbation when
-    used additively.
+    used additively.  With ``sampling`` set (see ``set_sampling``) the
+    layer runs shot-based instead of exact (inference only).
     """
 
     def __init__(self, in_features: int, out_features: int,
@@ -225,6 +228,7 @@ class QuantumLayer(Module):
         self.post_map = Linear(n, out_features, rng)
         self.post_map.weight = Tensor(
             np.zeros_like(self.post_map.weight.data), requires_grad=True)
+        self.sampling: SamplingSettings | None = None
 
     def circuit_expectations(self, angles: Tensor) -> Tensor:
         """Exact per-qubit <Z> for a batch of encoder angle rows."""
@@ -242,9 +246,11 @@ class QuantumLayer(Module):
         return out
 
     def forward(self, x: Tensor) -> Tensor:
-        angles = self.pre_map(x)
-        z = self.circuit_expectations(angles)
-        return self.post_map(z)
+        s = self.sampling
+        if s is not None:
+            return self.forward_sampled(x, s.shots, s.noise, s.next_seed(),
+                                        s.mitigate)
+        return self.post_map(self.circuit_expectations(self.pre_map(x)))
 
     def forward_sampled(self, x: Tensor, shots: int, noise: NoiseModel,
                         seed: int, mitigate: bool = False) -> Tensor:
@@ -291,9 +297,13 @@ class SamplingSettings:
 
 
 def set_sampling(model: Module, settings: SamplingSettings | None):
-    """Switch every quantum block to shot-based inference (or back)."""
+    """Switch every quantum layer to shot-based inference (or back).
+
+    The layers share ``settings``, so each call draws the next seed in
+    forward order.
+    """
     for module in model.iter_modules():
-        if isinstance(module, QResBlock):
+        if isinstance(module, QuantumLayer):
             module.sampling = settings
 
 
@@ -304,8 +314,7 @@ class QResBlock(ResBlock):
     pooled to a channel vector, sent through two quantum layers in
     sequence, and the result is broadcast-added back.  Because each
     quantum layer's output map starts at zero, a fresh block behaves
-    exactly like its classical counterpart.  With ``sampling`` set the
-    quantum layers run shot-based instead of exact (inference only).
+    exactly like its classical counterpart.
     """
 
     def __init__(self, in_channels: int, out_channels: int,
@@ -314,21 +323,46 @@ class QResBlock(ResBlock):
         super().__init__(in_channels, out_channels, rng, time_dim)
         self.qmix1 = QuantumLayer(out_channels, out_channels, spec, rng)
         self.qmix2 = QuantumLayer(out_channels, out_channels, spec, rng)
-        self.sampling: SamplingSettings | None = None
 
     def forward(self, x, t_emb=None):
         h = super().forward(x, t_emb)
         n, c = h.shape[0], h.shape[1]
-        pooled = h.mean(axis=(2, 3))
-        if self.sampling is None:
-            mixed = self.qmix2(self.qmix1(pooled))
-        else:
-            s = self.sampling
-            first = self.qmix1.forward_sampled(
-                pooled, s.shots, s.noise, s.next_seed(), s.mitigate)
-            mixed = self.qmix2.forward_sampled(
-                first, s.shots, s.noise, s.next_seed(), s.mitigate)
+        mixed = self.qmix2(self.qmix1(h.mean(axis=(2, 3))))
         return h + mixed.reshape(n, c, 1, 1)
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """Settings the VAE and the UNet share, and their one block choice.
+
+    ``quantum`` swaps each residual block that ``res_block`` builds for a
+    ``QResBlock`` whose circuits follow ``ansatz_spec()``; nothing else
+    in a model depends on it.
+    """
+
+    latent_channels: int = 4
+    base_channels: int = 32
+    quantum: bool = False
+    q_qubits: int = 4
+    q_layers: int = 2
+    q_kind: AnsatzKind = AnsatzKind.ESE2
+
+    def __post_init__(self):
+        # a config rebuilt from JSON carries the kind as its string value
+        object.__setattr__(self, "q_kind", AnsatzKind(self.q_kind))
+        if self.base_channels < 4 or self.base_channels % 4:
+            raise ValueError("base_channels must be a multiple of 4, >= 4")
+
+    def ansatz_spec(self) -> AnsatzSpec:
+        return AnsatzSpec(self.q_kind, self.q_qubits, self.q_layers)
+
+    def res_block(self, in_channels: int, out_channels: int,
+                  rng: np.random.Generator,
+                  time_dim: int | None = None) -> ResBlock:
+        if self.quantum:
+            return QResBlock(in_channels, out_channels, rng,
+                             self.ansatz_spec(), time_dim)
+        return ResBlock(in_channels, out_channels, rng, time_dim)
 
 
 class CDCNNLayer(Module):

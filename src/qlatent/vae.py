@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzKind, AnsatzSpec
 from .layers import (
     Conv2d,
     Downsample,
     GroupNorm,
+    ModelConfig,
     Module,
-    QResBlock,
     ResBlock,
     Upsample,
 )
@@ -30,34 +29,22 @@ from .tensor import Tensor, no_grad
 
 
 @dataclass(frozen=True)
-class VAEConfig:
+class VAEConfig(ModelConfig):
     image_size: int = 64
     in_channels: int = 3
-    latent_channels: int = 4
-    base_channels: int = 32
     kl_weight: float = 1e-6
     ssim_weight: float = 1.0
-    quantum: bool = False
-    q_qubits: int = 4
-    q_layers: int = 2
-    q_kind: AnsatzKind = AnsatzKind.ESE2
 
     def __post_init__(self):
-        # a config rebuilt from JSON carries the kind as its string value
-        object.__setattr__(self, "q_kind", AnsatzKind(self.q_kind))
+        super().__post_init__()
         if self.image_size % 8:
             raise ValueError("image_size must be divisible by 8")
-        if self.base_channels < 4 or self.base_channels % 4:
-            raise ValueError("base_channels must be a multiple of 4, >= 4")
         if self.kl_weight < 0 or self.ssim_weight < 0:
             raise ValueError("loss weights must be >= 0")
 
     @property
     def latent_size(self) -> int:
         return self.image_size // 8
-
-    def ansatz_spec(self) -> AnsatzSpec:
-        return AnsatzSpec(self.q_kind, self.q_qubits, self.q_layers)
 
 
 class VAE(Module):
@@ -69,10 +56,7 @@ class VAE(Module):
         c, c2 = config.base_channels, 2 * config.base_channels
 
         self.enc_stem = Conv2d(config.in_channels, c, rng)
-        if config.quantum:
-            self.enc_block1 = QResBlock(c, c, rng, config.ansatz_spec())
-        else:
-            self.enc_block1 = ResBlock(c, c, rng)
+        self.enc_block1 = config.res_block(c, c, rng)
         self.enc_down1 = Downsample(c, rng)
         self.enc_block2 = ResBlock(c, c2, rng)
         self.enc_down2 = Downsample(c2, rng)
