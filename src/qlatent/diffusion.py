@@ -20,6 +20,7 @@ from .layers import (
     ModelConfig,
     Module,
     Upsample,
+    init_streams,
 )
 from .tensor import Tensor, concat, no_grad
 
@@ -87,15 +88,15 @@ class UNetConfig(ModelConfig):
 
 
 class _DownStage(Module):
-    def __init__(self, in_ch, out_ch, rng, cfg, with_down):
-        self.res = cfg.res_block(in_ch, out_ch, rng, cfg.time_dim)
+    def __init__(self, in_ch, out_ch, rng, block, with_down):
+        self.res = block(in_ch, out_ch)
         self.down = Downsample(out_ch, rng) if with_down else None
 
 
 class _UpStage(Module):
-    def __init__(self, in_ch, out_ch, rng, cfg, with_up, up_ch):
+    def __init__(self, in_ch, out_ch, rng, block, with_up, up_ch):
         self.up = Upsample(up_ch, rng) if with_up else None
-        self.res = cfg.res_block(in_ch, out_ch, rng, cfg.time_dim)
+        self.res = block(in_ch, out_ch)
 
 
 class UNet(Module):
@@ -111,9 +112,14 @@ class UNet(Module):
     N_STAGES = 5
 
     def __init__(self, config: UNetConfig, seed: int = 0):
-        rng = np.random.default_rng(seed)
+        rng, q_rng = init_streams(seed)
         self.config = config
         c = config.base_channels
+
+        def block(in_ch, out_ch):
+            return config.res_block(in_ch, out_ch, rng, q_rng,
+                                    config.time_dim)
+
         mults = (1, 1, 2, 2, 4)
         chans = [c * m for m in mults]
 
@@ -134,12 +140,12 @@ class UNet(Module):
         skip_chans = []
         for out_ch, flag in zip(chans, down_flags):
             self.down_stages.append(
-                _DownStage(in_ch, out_ch, rng, config, flag))
+                _DownStage(in_ch, out_ch, rng, block, flag))
             skip_chans.append(out_ch)
             in_ch = out_ch
 
-        self.mid1 = config.res_block(in_ch, in_ch, rng, config.time_dim)
-        self.mid2 = config.res_block(in_ch, in_ch, rng, config.time_dim)
+        self.mid1 = block(in_ch, in_ch)
+        self.mid2 = block(in_ch, in_ch)
 
         self.up_stages = []
         up_chans = [c * m for m in (4, 2, 2, 1, 1)]
@@ -147,8 +153,8 @@ class UNet(Module):
             skip_ch = skip_chans[self.N_STAGES - 1 - i]
             with_up = down_flags[self.N_STAGES - 1 - i]
             self.up_stages.append(
-                _UpStage(in_ch + skip_ch, out_ch, rng, config,
-                         with_up, in_ch))
+                _UpStage(in_ch + skip_ch, out_ch, rng, block, with_up,
+                         in_ch))
             in_ch = out_ch
 
         self.out_norm = GroupNorm(in_ch)

@@ -314,15 +314,18 @@ class QResBlock(ResBlock):
     pooled to a channel vector, sent through two quantum layers in
     sequence, and the result is broadcast-added back.  Because each
     quantum layer's output map starts at zero, a fresh block behaves
-    exactly like its classical counterpart.
+    exactly like its classical counterpart.  The quantum layers draw
+    their weights from ``q_rng``, by default ``rng`` itself.
     """
 
     def __init__(self, in_channels: int, out_channels: int,
                  rng: np.random.Generator, spec: AnsatzSpec,
-                 time_dim: int | None = None):
+                 time_dim: int | None = None,
+                 q_rng: np.random.Generator | None = None):
         super().__init__(in_channels, out_channels, rng, time_dim)
-        self.qmix1 = QuantumLayer(out_channels, out_channels, spec, rng)
-        self.qmix2 = QuantumLayer(out_channels, out_channels, spec, rng)
+        q_rng = rng if q_rng is None else q_rng
+        self.qmix1 = QuantumLayer(out_channels, out_channels, spec, q_rng)
+        self.qmix2 = QuantumLayer(out_channels, out_channels, spec, q_rng)
 
     def forward(self, x, t_emb=None):
         h = super().forward(x, t_emb)
@@ -357,12 +360,27 @@ class ModelConfig:
         return AnsatzSpec(self.q_kind, self.q_qubits, self.q_layers)
 
     def res_block(self, in_channels: int, out_channels: int,
-                  rng: np.random.Generator,
+                  rng: np.random.Generator, q_rng: np.random.Generator,
                   time_dim: int | None = None) -> ResBlock:
+        """A residual block drawing its convolutions from ``rng`` and, when
+        ``quantum`` is set, its quantum layers from ``q_rng``."""
         if self.quantum:
             return QResBlock(in_channels, out_channels, rng,
-                             self.ansatz_spec(), time_dim)
+                             self.ansatz_spec(), time_dim, q_rng)
         return ResBlock(in_channels, out_channels, rng, time_dim)
+
+
+def init_streams(seed: int) -> tuple[np.random.Generator,
+                                     np.random.Generator]:
+    """(classical, quantum) weight streams for a model built at ``seed``.
+
+    Quantum layers draw from a child stream of the seed, so a quantum
+    model starts from exactly the classical weights of its classical
+    twin at the same seed, and the two variants differ only in their
+    circuits.
+    """
+    return (np.random.default_rng(seed),
+            np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]))
 
 
 class CDCNNLayer(Module):

@@ -22,6 +22,7 @@ from .layers import (
     Module,
     ResBlock,
     Upsample,
+    init_streams,
 )
 from .metrics import windowed_ssim
 from .optim import Adam
@@ -51,12 +52,12 @@ class VAE(Module):
     """Encoder/decoder pair; construction is deterministic in the seed."""
 
     def __init__(self, config: VAEConfig, seed: int = 0):
-        rng = np.random.default_rng(seed)
+        rng, q_rng = init_streams(seed)
         self.config = config
         c, c2 = config.base_channels, 2 * config.base_channels
 
         self.enc_stem = Conv2d(config.in_channels, c, rng)
-        self.enc_block1 = config.res_block(c, c, rng)
+        self.enc_block1 = config.res_block(c, c, rng, q_rng)
         self.enc_down1 = Downsample(c, rng)
         self.enc_block2 = ResBlock(c, c2, rng)
         self.enc_down2 = Downsample(c2, rng)

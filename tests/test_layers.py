@@ -16,6 +16,7 @@ from qlatent.ansatz import (
     param_count,
 )
 from qlatent.diagnostics import parameter_shift_gradient
+from qlatent.diffusion import UNet, UNetConfig
 from qlatent.layers import (
     CDCNNLayer,
     Conv2d,
@@ -39,6 +40,7 @@ from qlatent.statevector import (
     z_expectations,
 )
 from qlatent.tensor import Tensor
+from qlatent.vae import VAE, VAEConfig
 
 
 def test_trunc_normal_bounds_and_determinism():
@@ -183,6 +185,36 @@ def test_named_parameters_deterministic_and_nested():
         "blocks.0.weight", "blocks.0.bias",
         "blocks.1.gamma", "blocks.1.beta",
     ]
+
+
+_MODELS = [
+    pytest.param(VAE, VAEConfig, dict(image_size=16, base_channels=4),
+                 id="vae"),
+    pytest.param(UNet, UNetConfig, dict(latent_channels=2, latent_size=4,
+                                        base_channels=4, time_dim=8),
+                 id="unet"),
+]
+
+
+@pytest.mark.parametrize("model_cls, config_cls, sizes", _MODELS)
+@pytest.mark.parametrize("seed, kind", [(0, "ESE2"), (1, "S2D"), (7, "BE")])
+def test_quantum_variant_starts_from_the_classical_weights(
+        model_cls, config_cls, sizes, seed, kind):
+    classical = dict(model_cls(config_cls(**sizes), seed=seed)
+                     .named_parameters())
+    quantum = dict(model_cls(config_cls(**sizes, quantum=True, q_kind=kind,
+                                        q_qubits=3), seed=seed)
+                   .named_parameters())
+    assert set(classical) < set(quantum)
+    assert all(".qmix" in name for name in set(quantum) - set(classical))
+    for name, p in classical.items():
+        np.testing.assert_array_equal(quantum[name].data, p.data,
+                                      err_msg=name)
+    other = dict(model_cls(config_cls(**sizes, quantum=True, q_kind=kind,
+                                      q_qubits=3), seed=seed + 1)
+                 .named_parameters())
+    theta = next(n for n in quantum if n.endswith("qmix1.theta"))
+    assert not np.array_equal(quantum[theta].data, other[theta].data)
 
 
 def test_quantum_layer_initial_output_is_zero():
