@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .statevector import Circuit, SimulationError
+from .statevector import MAX_QUBITS, Circuit, SimulationError
 
 
 class AnsatzKind(str, Enum):
@@ -30,8 +30,9 @@ class AnsatzSpec:
     n_layers: int
 
     def __post_init__(self):
-        if self.n_qubits < 2:
-            raise ValueError(f"ansatz needs >= 2 qubits, got {self.n_qubits}")
+        if not 2 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"ansatz needs 2 to {MAX_QUBITS} qubits, "
+                             f"got {self.n_qubits}")
         if self.n_layers < 1:
             raise ValueError(f"ansatz needs >= 1 layer, got {self.n_layers}")
 

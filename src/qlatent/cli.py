@@ -443,7 +443,6 @@ SCHEMA_TRAIN_VAE = [
     Field("epochs", int, 2, help="training epochs"),
     Field("batch_size", int, 16, help="images per step"),
     Field("learning_rate", float, 1e-3, help="Adam learning rate"),
-    Field("image_size", int, 64, help="expected image side"),
     Field("base_channels", int, 32, help="first conv width"),
     Field("latent_channels", int, 4, help="latent channels"),
     Field("kl_weight", float, 1e-6, help="KL term weight"),
@@ -457,13 +456,9 @@ def check_train_vae(cfg: dict, out: Path) -> dict:
     _require_min(cfg, epochs=1, batch_size=1)
     if cfg["learning_rate"] <= 0:
         raise ValueError("learning_rate: must be > 0")
-    config = config_from_echo(
-        VAEConfig, dict(cfg, q_kind=_one_kind(cfg["q_kind"])))
     images, labels = _load_images_for_training(cfg)
-    if images.shape[2] != cfg["image_size"]:
-        raise ValueError(
-            f"image_size: dataset images are {images.shape[2]}px, "
-            f"config says {cfg['image_size']}")
+    config = config_from_echo(VAEConfig, dict(
+        cfg, q_kind=_one_kind(cfg["q_kind"]), image_size=images.shape[2]))
     return {"config": config, "images": images}
 
 

@@ -27,6 +27,7 @@ N_VESSELS = 6
 VESSEL_STEPS = 48
 LESION_COUNT_RANGE = (4, 9)  # integers(lo, hi): hi is exclusive
 HAZE_OPACITY_RANGE = (0.3, 0.6)
+_MANIFEST_COLUMNS = ("filename", "label", "split")
 
 
 @dataclass(frozen=True)
@@ -207,22 +208,34 @@ def generate_dataset(out_dir, n_images: int, seed: int,
     manifest = out_dir / "manifest.csv"
     with open(manifest, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["filename", "label", "split"])
+        writer.writerow(_MANIFEST_COLUMNS)
         for row in rows:
             writer.writerow(row)
     return manifest
 
 
 def load_manifest(manifest_path) -> list[dict]:
+    """Rows of a ``generate_dataset`` manifest, with integer labels."""
     manifest_path = Path(manifest_path)
     with open(manifest_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in _MANIFEST_COLUMNS
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{manifest_path}: not a dataset manifest, "
+                             f"missing columns {', '.join(missing)}")
+        rows = list(reader)
     if not rows:
         raise ValueError(f"{manifest_path}: empty manifest")
-    for row in rows:
-        row["label"] = int(row["label"])
+    for line, row in enumerate(rows, start=2):
+        try:
+            row["label"] = int(row["label"])
+        except (TypeError, ValueError):
+            raise ValueError(f"{manifest_path}: line {line}: label "
+                             f"{row['label']!r} is not an integer") from None
         if row["split"] not in ("train", "val", "test"):
-            raise ValueError(f"unknown split {row['split']!r}")
+            raise ValueError(f"{manifest_path}: line {line}: unknown split "
+                             f"{row['split']!r}")
     return rows
 
 

@@ -355,6 +355,8 @@ class ModelConfig:
         object.__setattr__(self, "q_kind", AnsatzKind(self.q_kind))
         if self.base_channels < 4 or self.base_channels % 4:
             raise ValueError("base_channels must be a multiple of 4, >= 4")
+        if self.quantum:
+            self.ansatz_spec()  # refuse a circuit the blocks cannot build
 
     def ansatz_spec(self) -> AnsatzSpec:
         return AnsatzSpec(self.q_kind, self.q_qubits, self.q_layers)

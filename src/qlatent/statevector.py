@@ -52,6 +52,11 @@ class GateOp:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
+        # lists would pass every check and then fail as plan-cache keys
+        if type(self.targets) is not tuple:
+            object.__setattr__(self, "targets", tuple(self.targets))
+        if type(self.params) is not tuple:
+            object.__setattr__(self, "params", tuple(self.params))
         if self.kind not in GATE_ARITY:
             raise SimulationError(f"unknown gate kind {self.kind!r}")
         want, n_targets = GATE_ARITY[self.kind]
@@ -203,6 +208,11 @@ def _apply_1q(psi: np.ndarray, tmp: np.ndarray, qubit: int,
     it.  Half a becomes mats[a, 0] * x0 + mats[a, 1] * x1, products in
     that operand order, so results match the dense formula bit for bit.
     """
+    # the writes go through reshaped views: splitting the basis axis never
+    # copies, merging the leading axes of a non-C-ordered state may
+    if psi.ndim > 2 and not psi.flags.c_contiguous:
+        raise SimulationError(
+            f"in-place gate on a non-C-contiguous {psi.ndim}-d state")
     shape = (psi.size // psi.shape[-1] >> (qubit + 1), 2, 1 << qubit,
              psi.shape[-1])
     x, t = psi.reshape(shape), tmp.reshape(shape)
@@ -220,6 +230,8 @@ def _apply_block(psi, tmp, lo: int, w: int, mat: np.ndarray):
     if w == 1:
         _apply_1q(psi, tmp, lo, mat[:, :, None])
         return psi, tmp
+    if not tmp.flags.c_contiguous:  # the out= view below merges axes
+        raise SimulationError("block gate needs C-contiguous scratch")
     shape = (psi.size // psi.shape[-1] >> (lo + w), 1 << w, -1)
     np.matmul(mat, psi.reshape(shape), out=tmp.reshape(shape))
     return tmp, psi

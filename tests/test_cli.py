@@ -5,6 +5,7 @@ tiny scale (32px images, 4-channel models, handfuls of steps); the
 tests then inspect its artifacts and probe the error paths.
 """
 
+import dataclasses
 import subprocess
 import sys
 
@@ -34,7 +35,7 @@ def pipeline(tmp_path_factory):
         ["make-dataset", "--out", str(out),
          "--set", "n_images=30", "--set", "image_size=32"],
         ["train-vae", "--out", str(out),
-         "--set", f"data={manifest}", "--set", "image_size=32",
+         "--set", f"data={manifest}",
          "--set", "base_channels=4", "--set", "epochs=2",
          "--set", "batch_size=8", "--set", "max_images=12"],
         ["train-ddpm", "--out", str(out),
@@ -272,7 +273,7 @@ def test_sample_rejects_alphas_that_print_alike(pipeline, tmp_path, capsys):
 def test_quantum_train_logs_parameter_count(pipeline, tmp_path):
     manifest = str(pipeline / "dataset" / "manifest.csv")
     code = main(["train-vae", "--out", str(tmp_path),
-                 "--set", f"data={manifest}", "--set", "image_size=32",
+                 "--set", f"data={manifest}",
                  "--set", "base_channels=4", "--set", "epochs=1",
                  "--set", "batch_size=4", "--set", "max_images=4",
                  "--set", "quantum=true", "--set", "q_qubits=2",
@@ -292,7 +293,7 @@ def test_quantum_train_logs_parameter_arithmetic(pipeline, tmp_path, kind,
                                                  line):
     manifest = str(pipeline / "dataset" / "manifest.csv")
     code = main(["train-vae", "--out", str(tmp_path),
-                 "--set", f"data={manifest}", "--set", "image_size=32",
+                 "--set", f"data={manifest}",
                  "--set", "base_channels=4", "--set", "epochs=1",
                  "--set", "batch_size=4", "--set", "max_images=4",
                  "--set", "quantum=true", "--set", f"q_kind={kind}",
@@ -306,7 +307,7 @@ def test_quantum_train_logs_parameter_arithmetic(pipeline, tmp_path, kind,
 def test_q_kind_must_name_one_kind(pipeline, tmp_path, capsys):
     manifest = str(pipeline / "dataset" / "manifest.csv")
     code = main(["train-vae", "--out", str(tmp_path),
-                 "--set", f"data={manifest}", "--set", "image_size=32",
+                 "--set", f"data={manifest}",
                  "--set", "quantum=true", "--set", "q_kind=be,SE"])
     assert code == 1
     assert "exactly one ansatz kind" in capsys.readouterr().err
@@ -434,6 +435,82 @@ def test_compare_models_rejects_bad_sizes(pipeline, tmp_path, capsys,
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "compare_models_config.txt").exists()
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("train-vae", "q_qubits=1", "ansatz needs 2 to 20 qubits, got 1"),
+    ("train-vae", "q_layers=0", "ansatz needs >= 1 layer, got 0"),
+    ("train-vae", "q_qubits=21", "ansatz needs 2 to 20 qubits, got 21"),
+    ("train-ddpm", "q_qubits=1", "ansatz needs 2 to 20 qubits, got 1"),
+], ids=["vae-1q", "vae-0l", "vae-21q", "ddpm-1q"])
+def test_training_rejects_quantum_settings_at_the_check_step(
+        pipeline, tmp_path, capsys, command, setting, message):
+    argv = [command, "--out", str(tmp_path),
+            "--set", f"data={pipeline / 'dataset' / 'manifest.csv'}",
+            "--set", "base_channels=4", "--set", "quantum=true"]
+    if command == "train-ddpm":
+        argv += ["--set", f"vae_checkpoint={pipeline / 'vae.qldm'}"]
+    assert main(argv + ["--set", setting]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_config.txt"))
+
+
+def test_ansatz_bench_rejects_more_qubits_than_the_simulator(tmp_path,
+                                                             capsys):
+    assert main(["ansatz-bench", "--out", str(tmp_path),
+                 "--set", "qubits=21", "--set", "layers=1"]) == 1
+    assert "error: ansatz needs 2 to 20 qubits, got 21" \
+        in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_config.txt"))
+
+
+def test_evaluate_refuses_a_samples_csv_as_the_real_manifest(pipeline,
+                                                             tmp_path,
+                                                             capsys):
+    samples = pipeline / "samples.csv"
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--out", str(out), "--set", f"data={samples}",
+                 "--set", f"generated={samples}", "--set", "knn_k=2"]) == 1
+    assert f"error: {samples}: not a dataset manifest, missing columns " \
+        "split" in capsys.readouterr().err
+    assert not list(out.glob("*_config.txt"))
+
+
+def test_training_refuses_a_manifest_label_that_is_not_an_integer(
+        pipeline, tmp_path, capsys):
+    lines = (pipeline / "dataset" / "manifest.csv").read_text().splitlines()
+    name, _, split = lines[3].split(",")
+    lines[3] = f"{name},two,{split}"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "vae"
+    assert main(["train-vae", "--out", str(out),
+                 "--set", f"data={manifest}"]) == 1
+    assert f"error: {manifest}: line 4: label 'two' is not an integer" \
+        in capsys.readouterr().err
+    assert not list(out.glob("*_config.txt"))
+
+
+@pytest.mark.parametrize("command, config_cls", [
+    ("train-vae", VAEConfig), ("train-ddpm", UNetConfig)])
+def test_training_schema_defaults_match_the_model_config(command,
+                                                         config_cls):
+    defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
+    shared = [f for f in cli.COMMANDS[command][0] if f.name in defaults]
+    assert {f.name for f in shared} >= {"base_channels", "quantum",
+                                        "q_qubits", "q_layers", "q_kind"}
+    for field in shared:
+        assert field.default == defaults[field.name], field.name
+
+
+def test_train_vae_takes_image_size_from_the_dataset(pipeline, tmp_path,
+                                                     capsys):
+    manifest = pipeline / "dataset" / "manifest.csv"
+    assert main(["train-vae", "--out", str(tmp_path),
+                 "--set", f"data={manifest}",
+                 "--set", "image_size=32"]) == 1
+    assert "unknown config key 'image_size'" in capsys.readouterr().err
+    assert load_checkpoint(pipeline / "vae.qldm").config["image_size"] == 32
 
 
 def test_ansatz_bench_outputs(tmp_path):

@@ -217,6 +217,16 @@ def test_quantum_variant_starts_from_the_classical_weights(
     assert not np.array_equal(quantum[theta].data, other[theta].data)
 
 
+@pytest.mark.parametrize("config_cls", [VAEConfig, UNetConfig])
+@pytest.mark.parametrize("setting", [dict(q_qubits=1), dict(q_qubits=21),
+                                     dict(q_layers=0)])
+def test_configs_refuse_circuits_their_quantum_blocks_cannot_build(
+        config_cls, setting):
+    config_cls(**setting)  # unused while the blocks are classical
+    with pytest.raises(ValueError, match="ansatz needs"):
+        config_cls(quantum=True, **setting)
+
+
 def test_quantum_layer_initial_output_is_zero():
     rng = np.random.default_rng(10)
     layer = QuantumLayer(5, 5, AnsatzSpec(AnsatzKind.ESE2, 3, 1), rng)

@@ -10,10 +10,13 @@ from oracles import (
     reduced_density_oracle,
 )
 from qlatent.statevector import (
+    _PAULIS,
     Circuit,
     GateOp,
     SimulationError,
     StateVector,
+    _apply_1q,
+    _apply_block,
     bind_params,
     bitstring_to_index,
     index_to_bitstring,
@@ -320,6 +323,40 @@ def test_circuits_built_from_ops_and_slots_are_checked(ops, slots, match):
     # gate silently dropped, a bare IndexError/KeyError or a lost angle
     with pytest.raises(SimulationError, match=match):
         Circuit(2, ops, slots)
+
+
+def test_gates_given_as_lists_run_like_tuples():
+    listed, tupled = Circuit(2), Circuit(2)
+    listed.add("RY", [0], [0.3])
+    listed.add("CNOT", [0, 1])
+    listed.add("U3", [1], [0.1, 0.2, 0.3], trainable=True)
+    tupled.add("RY", (0,), (0.3,))
+    tupled.add("CNOT", (0, 1))
+    tupled.add("U3", (1,), (0.1, 0.2, 0.3), trainable=True)
+    assert listed.ops == tupled.ops
+    theta = np.array([0.4, 0.5, 0.6])
+    np.testing.assert_array_equal(run_circuit(listed, theta).amplitudes,
+                                  run_circuit(tupled, theta).amplitudes)
+
+
+def test_in_place_gate_lands_in_any_2d_layout():
+    rng = np.random.default_rng(0)
+    psi = (rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))).T
+    want = psi[[i ^ 2 for i in range(8)]]  # X on qubit 1 flips bit 1
+    assert not psi.flags.c_contiguous
+    _apply_1q(psi, np.empty_like(psi), 1, _PAULIS["X"])
+    np.testing.assert_array_equal(psi, want)
+
+
+def test_in_place_gate_refuses_a_state_whose_writes_would_be_lost():
+    x = np.arange(24, dtype=complex).reshape(3, 4, 2)
+    psi = x.transpose(2, 1, 0)
+    with pytest.raises(SimulationError, match="non-C-contiguous"):
+        _apply_1q(psi, np.empty_like(psi), 0, _PAULIS["X"])
+    state = np.ones((4, 2), complex)
+    with pytest.raises(SimulationError, match="C-contiguous scratch"):
+        _apply_block(state, np.empty((2, 4), complex).T, 0, 2,
+                     np.eye(4, dtype=complex))
 
 
 def test_pauli_z_expectations_on_basis_states():
