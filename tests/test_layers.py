@@ -200,19 +200,16 @@ _MODELS = [
 @pytest.mark.parametrize("seed, kind", [(0, "ESE2"), (1, "S2D"), (7, "BE")])
 def test_quantum_variant_starts_from_the_classical_weights(
         model_cls, config_cls, sizes, seed, kind):
+    hybrid = config_cls(**sizes, quantum=True, q_kind=kind, q_qubits=3)
     classical = dict(model_cls(config_cls(**sizes), seed=seed)
                      .named_parameters())
-    quantum = dict(model_cls(config_cls(**sizes, quantum=True, q_kind=kind,
-                                        q_qubits=3), seed=seed)
-                   .named_parameters())
+    quantum = dict(model_cls(hybrid, seed=seed).named_parameters())
     assert set(classical) < set(quantum)
     assert all(".qmix" in name for name in set(quantum) - set(classical))
     for name, p in classical.items():
         np.testing.assert_array_equal(quantum[name].data, p.data,
                                       err_msg=name)
-    other = dict(model_cls(config_cls(**sizes, quantum=True, q_kind=kind,
-                                      q_qubits=3), seed=seed + 1)
-                 .named_parameters())
+    other = dict(model_cls(hybrid, seed=seed + 1).named_parameters())
     theta = next(n for n in quantum if n.endswith("qmix1.theta"))
     assert not np.array_equal(quantum[theta].data, other[theta].data)
 
