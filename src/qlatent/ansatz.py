@@ -104,20 +104,6 @@ def build_ansatz(spec: AnsatzSpec, params) -> Circuit:
     return c
 
 
-def build_angle_encoder(features, n_qubits: int) -> Circuit:
-    """One fixed RY(feature_q) per qubit, applied before an ansatz."""
-    features = np.asarray(features, dtype=np.float64).ravel()
-    if features.size != n_qubits:
-        raise ValueError(
-            f"expected {n_qubits} features, got {features.size}")
-    if not np.all(np.isfinite(features)):
-        raise ValueError("encoder features must be finite")
-    c = Circuit(n_qubits)
-    for q in range(n_qubits):
-        c.add("RY", (q,), (float(features[q]),))
-    return c
-
-
 def build_trainable_encoder(n_qubits: int) -> Circuit:
     """RY encoder with trainable angles; used by the hybrid quantum layer
 

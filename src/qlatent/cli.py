@@ -40,9 +40,9 @@ from .config import (
 from .data import (
     FundusParams,
     generate_dataset,
+    load_images,
     load_manifest,
     load_split,
-    read_ppm,
     write_ppm,
 )
 from .diagnostics import (
@@ -64,11 +64,10 @@ from .diffusion import (
 from .layers import QuantumLayer, SamplingSettings, set_sampling
 from .metrics import MetricReport, evaluate_sets
 from .noise import (
-    ConfusionMatrix,
     NoiseModel,
     hamming_from_marginals,
     index_marginals,
-    mitigate_probabilities,
+    readout_marginals,
     sample_noisy_counts,
     sampling_control_distance,
 )
@@ -306,11 +305,9 @@ def check_bench(cfg: dict, out: Path) -> dict:
         raise ValueError("qubits: need counts >= 2")
     if sorted(set(qubits)) != qubits:
         raise ValueError("qubits: must be strictly increasing")
-    _require_min(cfg, gv_samples=30, ee_draws=2)
+    _require_min(cfg, gv_samples=30, ee_draws=2, shots=1)
     noise = NoiseModel(readout_alpha=cfg["readout_alpha"], p1=cfg["p1"],
                        p2=cfg["p2"], trajectories=cfg["trajectories"])
-    if cfg["shots"] < cfg["trajectories"]:
-        raise ValueError("shots: must be >= trajectories")
     for n in qubits:
         for kind in kinds:
             AnsatzSpec(kind, n, cfg["layers"])
@@ -320,7 +317,6 @@ def check_bench(cfg: dict, out: Path) -> dict:
 def run_bench(cfg: dict, out: Path, ctx: dict) -> None:
     kinds, qubits, noise = ctx["kinds"], ctx["qubits"], ctx["noise"]
     layers = cfg["layers"]
-    alpha = noise.readout_alpha
     rows = []
     per_kind: dict[AnsatzKind, dict[str, list]] = {}
     row_seed = cfg["seed"]
@@ -346,14 +342,10 @@ def run_bench(cfg: dict, out: Path, ctx: dict) -> None:
             counts = sample_noisy_counts(
                 circuit, np.zeros((1, 0)), noise, cfg["shots"],
                 np.random.default_rng(row_seed + 3), shared=theta)
-            probs = counts / cfg["shots"]
-            raw_h = hamming_from_marginals(index_marginals(probs, n)[0],
+            raw_h = hamming_from_marginals(readout_marginals(counts)[0],
                                            exact)
-            if alpha > 0:
-                probs = mitigate_probabilities(
-                    probs, counts > 0, ConfusionMatrix.symmetric(n, alpha))
-            mit_h = hamming_from_marginals(index_marginals(probs, n)[0],
-                                           exact)
+            mit_h = hamming_from_marginals(
+                readout_marginals(counts, noise.readout_alpha)[0], exact)
             control = sampling_control_distance(
                 state, cfg["shots"], (row_seed + 4, row_seed + 5))
             rows.append([kind.value, n, layers, pcount,
@@ -592,14 +584,12 @@ def check_sample(cfg: dict, out: Path) -> dict:
     clash = [repr(a) for a, w in zip(alphas, written) if written.count(w) > 1]
     if clash:
         raise ValueError(f"alphas: {', '.join(clash)} print as one value")
-    _require_min(cfg, n_per_class=1, steps=2, batch_size=1)
+    _require_min(cfg, n_per_class=1, steps=2, batch_size=1, shots=1)
     # the noise model per alpha, None for exact runs; any nonzero setting
     # builds one, so values out of range are rejected here
     noises = [NoiseModel(readout_alpha=a, p1=cfg["p1"], p2=cfg["p2"],
                          trajectories=cfg["trajectories"])
               if a or cfg["p1"] or cfg["p2"] else None for a in alphas]
-    if cfg["shots"] < cfg["trajectories"]:
-        raise ValueError("shots: must be >= trajectories")
     return {"pair": pair, "alphas": alphas, "noises": noises}
 
 
@@ -642,29 +632,14 @@ SCHEMA_EVALUATE = [
 ] + _EVAL_FIELDS
 
 
-def _load_generated(manifest_path: Path) -> dict[str, list[dict]]:
-    groups: dict[str, list[dict]] = {}
-    with open(manifest_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"alpha", "filename", "label"}
-        if reader.fieldnames is None \
-                or not required.issubset(reader.fieldnames):
-            raise ValueError(
-                f"{manifest_path}: expected columns alpha,filename,label")
-        for row in reader:
-            groups.setdefault(row["alpha"], []).append(row)
-    if not groups:
-        raise ValueError(f"{manifest_path}: no generated rows")
-    return groups
-
-
 def check_evaluate(cfg: dict, out: Path) -> dict:
     _require_min(cfg, knn_k=1)
     real_manifest = _require_file(cfg["data"], "data")
     gen_manifest = _require_file(cfg["generated"], "generated")
     real_images, real_labels = load_split(real_manifest, cfg["split"])
-    groups = _load_generated(gen_manifest)
-    root = gen_manifest.parent
+    groups: dict[str, list[dict]] = {}
+    for row in load_manifest(gen_manifest, ("alpha", "filename", "label")):
+        groups.setdefault(row["alpha"], []).append(row)
     loaded = {}
     for alpha, rows in groups.items():
         try:
@@ -672,10 +647,7 @@ def check_evaluate(cfg: dict, out: Path) -> dict:
         except ValueError:
             raise ValueError(
                 f"generated: alpha {alpha!r} is not a number") from None
-        images = np.stack([
-            read_ppm(root / r["filename"]).transpose(2, 0, 1)
-            for r in rows])
-        labels = np.array([int(r["label"]) for r in rows])
+        images, labels = load_images(gen_manifest, rows)
         if images.shape[1:] != real_images.shape[1:]:
             raise ValueError(
                 f"generated images {images.shape[1:]} do not match real "

@@ -214,12 +214,13 @@ def generate_dataset(out_dir, n_images: int, seed: int,
     return manifest
 
 
-def load_manifest(manifest_path) -> list[dict]:
-    """Rows of a ``generate_dataset`` manifest, with integer labels."""
+def load_manifest(manifest_path, columns=_MANIFEST_COLUMNS) -> list[dict]:
+    """Rows of a CSV manifest with ``columns`` (by default a
+    ``generate_dataset`` one), labels as integers and splits checked."""
     manifest_path = Path(manifest_path)
     with open(manifest_path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in _MANIFEST_COLUMNS
+        missing = [c for c in columns
                    if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{manifest_path}: not a dataset manifest, "
@@ -233,7 +234,7 @@ def load_manifest(manifest_path) -> list[dict]:
         except (TypeError, ValueError):
             raise ValueError(f"{manifest_path}: line {line}: label "
                              f"{row['label']!r} is not an integer") from None
-        if row["split"] not in ("train", "val", "test"):
+        if "split" in columns and row["split"] not in ("train", "val", "test"):
             raise ValueError(f"{manifest_path}: line {line}: unknown split "
                              f"{row['split']!r}")
     return rows
@@ -265,6 +266,11 @@ def load_split(manifest_path, split: str, quarter_train: bool = False):
     rows = [r for r in rows if r["split"] == split]
     if not rows:
         raise ValueError(f"no rows in split {split!r}")
+    return load_images(manifest_path, rows)
+
+
+def load_images(manifest_path, rows: list[dict]):
+    """Images (N, 3, H, W) in [0, 1] and labels (N,) of manifest rows."""
     root = Path(manifest_path).parent
     images = np.stack([
         read_ppm(root / r["filename"]).transpose(2, 0, 1) for r in rows])

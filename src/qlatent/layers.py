@@ -22,13 +22,7 @@ from .ansatz import (
     build_trainable_encoder,
     param_count,
 )
-from .noise import (
-    ConfusionMatrix,
-    NoiseModel,
-    index_marginals,
-    mitigate_probabilities,
-    sample_noisy_counts,
-)
+from .noise import NoiseModel, readout_marginals, sample_noisy_counts
 from .statevector import z_expectations
 from .tensor import Tensor, conv2d, group_norm
 
@@ -248,6 +242,9 @@ class QuantumLayer(Module):
     def forward(self, x: Tensor) -> Tensor:
         s = self.sampling
         if s is not None:
+            if x.requires_grad:
+                raise ValueError("a sampled quantum layer is inference only; "
+                                 "run the model under no_grad()")
             return self.forward_sampled(x, s.shots, s.noise, s.next_seed(),
                                         s.mitigate)
         return self.post_map(self.circuit_expectations(self.pre_map(x)))
@@ -258,20 +255,15 @@ class QuantumLayer(Module):
 
         All rows and their noise trajectories run as one batch from one
         ``default_rng(seed)``, so a one-row call draws exactly what
-        ``sample_noisy`` draws for that seed.  Expectations come from the
-        integer shot counts (optionally with confusion-matrix mitigation
-        when readout noise is present).  Inference only: the result
-        carries no gradient graph.
+        ``sample_noisy`` draws for that seed.  ``readout_marginals`` of the
+        integer shot counts give <Z>, mitigated if ``mitigate`` is set.
+        Inference only: the result carries no gradient graph.
         """
         counts = sample_noisy_counts(self._template, self.pre_map(x).data,
                                      noise, shots, np.random.default_rng(seed),
                                      shared=self.theta.data)
-        probs = counts / shots
-        if mitigate and noise.readout_alpha > 0:
-            probs = mitigate_probabilities(
-                probs, counts > 0,
-                ConfusionMatrix.symmetric(self.n_qubits, noise.readout_alpha))
-        outs = 1.0 - 2.0 * index_marginals(probs, self.n_qubits)
+        outs = 1 - 2 * readout_marginals(
+            counts, noise.readout_alpha if mitigate else 0.0)
         return self.post_map(Tensor(outs)).detach()
 
 
@@ -284,8 +276,8 @@ class SamplingSettings:
 
     def __init__(self, shots: int, noise: NoiseModel, seed: int = 0,
                  mitigate: bool = False):
-        if shots < noise.trajectories:
-            raise ValueError("shots must be >= noise trajectories")
+        if shots < 1:
+            raise ValueError(f"shots must be >= 1, got {shots}")
         self.shots = shots
         self.noise = noise
         self.mitigate = mitigate

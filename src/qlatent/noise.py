@@ -33,7 +33,8 @@ from .statevector import (
 
 @dataclass
 class NoiseModel:
-    """Parametric stand-in for a calibrated device noise model."""
+    """Parametric stand-in for a calibrated device noise model; a call
+    runs at most ``min(trajectories, shots)`` Pauli trajectories."""
 
     readout_alpha: float = 0.0
     p1: float = 5e-4
@@ -165,25 +166,23 @@ def sample_noisy_counts(circuit: Circuit, params, noise: NoiseModel,
     ``params`` has shape (k, n_params - S) and ``shared`` (length S)
     binds the last slots for every row, as in ``run_circuit_batch``;
     returns (k, 2**n) counts, each row summing to ``shots``.  Every row's
-    shots are split as evenly as possible across ``noise.trajectories``
-    independent Pauli trajectories, the leftover shots going to the
-    first trajectories, and all k x T trajectories run as one batch.
+    shots are split as evenly as possible across T = min(trajectories,
+    shots) independent Pauli trajectories (one shot each is already the
+    device's law), the leftover shots going to the first trajectories,
+    and all k x T trajectories run as one batch.
     Without gate noise every trajectory is the same state, so each row is
     simulated once and sampled with all its shots, which has the same
     law.  Readout flips come last.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if shots < noise.trajectories:
-        raise ValueError(
-            f"shots ({shots}) must be >= trajectories ({noise.trajectories})")
     params = np.asarray(params, dtype=np.float64)
     k = params.shape[0]
     if noise.p1 == 0.0 and noise.p2 == 0.0:
         amps = run_circuit_batch(circuit, params, shared=shared)
         n_shots = shots
     else:
-        t = noise.trajectories
+        t = min(noise.trajectories, shots)
         rows = np.repeat(params, t, axis=0)
         amps = run_circuit_batch(circuit, rows,
                                  _draw_paulis(circuit, noise, k * t, rng),
@@ -219,6 +218,17 @@ def index_marginals(probs: np.ndarray, n_qubits: int) -> np.ndarray:
     """Per-qubit probability of measuring 1 for (k, 2**n) index weights."""
     bits = (np.arange(probs.shape[1])[:, None] >> np.arange(n_qubits)) & 1
     return probs @ bits
+
+
+def readout_marginals(counts: np.ndarray, alpha: float = 0.0) -> np.ndarray:
+    """Per-qubit P(1) of (k, 2**n) shot counts, the observed outcomes
+    first mitigated for readout flip rate ``alpha`` when it is above 0."""
+    n = counts.shape[1].bit_length() - 1
+    probs = counts / counts.sum(axis=1, keepdims=True)
+    if alpha > 0:
+        cm = ConfusionMatrix.symmetric(n, alpha)
+        probs = mitigate_probabilities(probs, counts > 0, cm)
+    return index_marginals(probs, n)
 
 
 def expected_hamming_distance(p: EmpiricalDistribution,

@@ -120,9 +120,6 @@ class Circuit:
     def two_qubit_gate_count(self) -> int:
         return sum(1 for op in self.ops if op.kind in TWO_QUBIT_GATES)
 
-    def one_qubit_gate_count(self) -> int:
-        return sum(1 for op in self.ops if op.kind not in TWO_QUBIT_GATES)
-
     def extended(self, other: "Circuit") -> "Circuit":
         """This circuit followed by ``other``; slots of ``other`` come last."""
         if other.n_qubits != self.n_qubits:
@@ -661,18 +658,6 @@ def run_circuit(circuit: Circuit, params=()) -> StateVector:
     return StateVector(circuit.n_qubits, run_circuit_batch(circuit, params)[0])
 
 
-def bind_params(circuit: Circuit, params) -> Circuit:
-    """Copy of the circuit with trainable slots baked into literal angles."""
-    params = np.asarray(params, dtype=np.float64).ravel()
-    if params.size != circuit.n_params:
-        raise SimulationError(
-            f"expected {circuit.n_params} params, got {params.size}")
-    angles = {pos: params[s] for s, pos in enumerate(circuit.param_slots)}
-    return Circuit(circuit.n_qubits, [GateOp(op.kind, op.targets, tuple(
-        angles.get((i, a), v) for a, v in enumerate(op.params)))
-        for i, op in enumerate(circuit.ops)], [])
-
-
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply a single gate; returns a new state."""
     for q in op.targets:
@@ -719,10 +704,6 @@ def pauli_z_expectations_batch(batch: np.ndarray, n_qubits: int) -> np.ndarray:
 def index_to_bitstring(index: int, n_qubits: int) -> str:
     """Basis index -> bitstring with qubit 0 first."""
     return format(index, f"0{n_qubits}b")[::-1]
-
-
-def bitstring_to_index(bits: str) -> int:
-    return sum((1 << q) for q, b in enumerate(bits) if b == "1")
 
 
 def sample_indices(state: StateVector, shots: int, seed: int) -> np.ndarray:

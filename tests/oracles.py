@@ -4,9 +4,10 @@ Everything here is written for clarity, not speed: full 2^n x 2^n gate
 matrices assembled element by element, applied by plain matmul, and
 convolution one output at a time.  None of it shares code with the
 package under test, except that the GroupNorm oracle is composed of the
-package's elementary autodiff ops rather than its single-node op, and
-the SSIM oracle takes its window means through the package's conv2d,
-which is itself checked against ``naive_conv``.
+package's elementary autodiff ops rather than its single-node op, the
+SSIM oracle takes its window means through the package's conv2d, which
+is itself checked against ``naive_conv``, and the circuit helpers at the
+end build the package's ``Circuit`` records.
 """
 
 import numpy as np
@@ -404,3 +405,42 @@ def random_circuit(rng, n_qubits, n_gates, trainable_fraction=0.5):
             c.add(kind, (q,), angles,
                   trainable=bool(rng.random() < trainable_fraction))
     return c
+
+
+def bind_params(circuit, params):
+    """Copy of the circuit with trainable slots baked into literal angles."""
+    from qlatent.statevector import Circuit, GateOp
+
+    params = np.asarray(params, dtype=np.float64).ravel()
+    if params.size != circuit.n_params:
+        raise ValueError(
+            f"expected {circuit.n_params} params, got {params.size}")
+    angles = {pos: params[s] for s, pos in enumerate(circuit.param_slots)}
+    return Circuit(circuit.n_qubits, [GateOp(op.kind, op.targets, tuple(
+        angles.get((i, a), v) for a, v in enumerate(op.params)))
+        for i, op in enumerate(circuit.ops)], [])
+
+
+def build_angle_encoder(features, n_qubits):
+    """One fixed RY(feature_q) per qubit, applied before an ansatz."""
+    from qlatent.statevector import Circuit
+
+    features = np.asarray(features, dtype=np.float64).ravel()
+    if features.size != n_qubits:
+        raise ValueError(
+            f"expected {n_qubits} features, got {features.size}")
+    if not np.all(np.isfinite(features)):
+        raise ValueError("encoder features must be finite")
+    c = Circuit(n_qubits)
+    for q in range(n_qubits):
+        c.add("RY", (q,), (float(features[q]),))
+    return c
+
+
+def bitstring_to_index(bits):
+    """Bitstring with qubit 0 first -> basis index."""
+    return sum((1 << q) for q, b in enumerate(bits) if b == "1")
+
+
+def one_qubit_gate_count(circuit):
+    return sum(1 for op in circuit.ops if len(op.targets) == 1)

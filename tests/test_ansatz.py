@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import build_angle_encoder
 from qlatent.ansatz import (
     AnsatzKind,
     AnsatzSpec,
-    build_angle_encoder,
     build_ansatz,
     build_trainable_encoder,
     param_count,

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dense_run, dense_run_with_paulis
+from oracles import bind_params, dense_run, dense_run_with_paulis
 from qlatent import statevector
 from qlatent.ansatz import (
     AnsatzKind,
@@ -26,7 +26,6 @@ from qlatent.noise import NoiseModel, sample_noisy
 from qlatent.statevector import (
     Circuit,
     GateOp,
-    bind_params,
     pauli_z_expectations_batch,
     run_circuit,
     run_circuit_batch,

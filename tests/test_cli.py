@@ -412,6 +412,20 @@ def test_sample_rejects_bad_noise_settings(pipeline, tmp_path, capsys,
     assert not (tmp_path / "sample_config.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "ansatz-bench"])
+def test_zero_shots_are_refused_at_the_check_step(pipeline, tmp_path, capsys,
+                                                  command):
+    argv = [command, "--out", str(tmp_path), "--set", "shots=0"]
+    if command == "sample":
+        argv += ["--set", f"vae_checkpoint={pipeline / 'vae.qldm'}",
+                 "--set", f"ddpm_checkpoint={pipeline / 'ddpm.qldm'}"]
+    else:
+        argv += ["--set", "qubits=4", "--set", "layers=1"]
+    assert main(argv) == 1
+    assert "error: shots: must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_config.txt"))
+
+
 @pytest.mark.parametrize("setting", ["batch_size=0", "batch_size=-1"])
 def test_sample_rejects_bad_batch_size(pipeline, tmp_path, capsys, setting):
     assert main(["sample", "--out", str(tmp_path),
@@ -476,16 +490,24 @@ def test_evaluate_refuses_a_samples_csv_as_the_real_manifest(pipeline,
     assert not list(out.glob("*_config.txt"))
 
 
+@pytest.mark.parametrize("command, source", [
+    ("train-vae", "dataset/manifest.csv"), ("evaluate", "samples.csv")],
+    ids=["train-vae", "evaluate"])
 def test_training_refuses_a_manifest_label_that_is_not_an_integer(
-        pipeline, tmp_path, capsys):
-    lines = (pipeline / "dataset" / "manifest.csv").read_text().splitlines()
-    name, _, split = lines[3].split(",")
-    lines[3] = f"{name},two,{split}"
+        pipeline, tmp_path, capsys, command, source):
+    lines = (pipeline / source).read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index("label")] = "two"
+    lines[3] = ",".join(cells)
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "vae"
-    assert main(["train-vae", "--out", str(out),
-                 "--set", f"data={manifest}"]) == 1
+    out = tmp_path / command
+    if command == "train-vae":
+        argv = ["--set", f"data={manifest}"]
+    else:
+        argv = ["--set", f"data={pipeline / 'dataset' / 'manifest.csv'}",
+                "--set", f"generated={manifest}", "--set", "knn_k=2"]
+    assert main([command, "--out", str(out)] + argv) == 1
     assert f"error: {manifest}: line 4: label 'two' is not an integer" \
         in capsys.readouterr().err
     assert not list(out.glob("*_config.txt"))

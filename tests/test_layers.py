@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bind_params,
+    build_angle_encoder,
     check_grads,
     group_norm_oracle,
     numeric_grad,
@@ -11,7 +13,6 @@ from oracles import (
 from qlatent.ansatz import (
     AnsatzKind,
     AnsatzSpec,
-    build_angle_encoder,
     build_ansatz,
     param_count,
 )
@@ -34,7 +35,6 @@ from qlatent.noise import NoiseModel, sample_noisy
 from qlatent.statevector import (
     Circuit,
     GateOp,
-    bind_params,
     run_circuit,
     run_circuit_batch,
     z_expectations,

@@ -3,22 +3,28 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import mitigation_oracle, noisy_marginals_oracle, random_circuit
+from oracles import (
+    bitstring_to_index,
+    mitigation_oracle,
+    noisy_marginals_oracle,
+    random_circuit,
+)
 from qlatent.ansatz import AnsatzKind, AnsatzSpec, build_ansatz, param_count
 from qlatent.noise import (
     ConfusionMatrix,
     EmpiricalDistribution,
     NoiseModel,
     expected_hamming_distance,
+    index_marginals,
     mitigate_confusion,
     mitigate_probabilities,
+    readout_marginals,
     sample_noisy,
     sample_noisy_counts,
     sampling_control_distance,
 )
 from qlatent.statevector import (
     Circuit,
-    bitstring_to_index,
     index_to_bitstring,
     run_circuit,
     sample_bitstrings,
@@ -67,10 +73,20 @@ def test_zero_noise_matches_exact_distribution():
     assert 0.5 * np.abs(emp - probs).sum() < 0.02
 
 
-def test_shots_below_trajectories_rejected():
-    c = Circuit(2)
-    with pytest.raises(ValueError):
-        sample_noisy(c, (), NoiseModel(trajectories=100), shots=50, seed=0)
+def test_trajectories_are_capped_at_shots():
+    # one shot per trajectory is already the device's law, so shots below
+    # trajectories run exactly the trajectories == shots draws
+    rng = np.random.default_rng(4)
+    spec = AnsatzSpec(AnsatzKind.SE, 3, 2)
+    params = rng.uniform(0, 2 * np.pi, param_count(spec))
+    circuit = build_ansatz(spec, params)
+    noise = NoiseModel(readout_alpha=0.05, p1=0.05, p2=0.1, trajectories=100)
+    capped = sample_noisy(circuit, params, noise, shots=30, seed=2)
+    exact_fit = sample_noisy(circuit, params,
+                             dataclasses.replace(noise, trajectories=30),
+                             shots=30, seed=2)
+    assert capped.counts == exact_fit.counts
+    assert capped.total == 30
 
 
 def test_sampling_deterministic():
@@ -288,6 +304,20 @@ def test_mitigation_output_normalized_after_clipping():
     vals = np.array(list(out.values()))
     assert np.all(vals >= 0)
     assert abs(vals.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_readout_marginals_equal_the_inline_estimator(alpha):
+    # counts / total, optional mitigation, then the index marginals:
+    # sampled layers and ansatz-bench rows must agree to the last bit
+    counts = np.array([[13, 0, 7, 1, 0, 22, 5, 2],
+                       [0, 9, 0, 0, 31, 3, 6, 1]])
+    probs = counts / 50
+    if alpha > 0:
+        probs = mitigate_probabilities(probs, counts > 0,
+                                       ConfusionMatrix.symmetric(3, alpha))
+    want = index_marginals(probs, 3)
+    assert readout_marginals(counts, alpha).tobytes() == want.tobytes()
 
 
 def test_gate_and_readout_noise_match_density_matrix_oracle():

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bind_params,
+    bitstring_to_index,
     dense_run,
     dense_run_with_paulis,
+    one_qubit_gate_count,
     random_circuit,
     reduced_density_oracle,
 )
@@ -17,8 +20,6 @@ from qlatent.statevector import (
     StateVector,
     _apply_1q,
     _apply_block,
-    bind_params,
-    bitstring_to_index,
     index_to_bitstring,
     pauli_z_expectations,
     pauli_z_expectations_batch,
@@ -471,4 +472,4 @@ def test_circuit_gate_counts():
     c.add("SWAP", (1, 2), ())
     c.add("U3", (2,), (0.1, 0.2, 0.3))
     assert c.two_qubit_gate_count() == 2
-    assert c.one_qubit_gate_count() == 2
+    assert one_qubit_gate_count(c) == 2

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import check_grads, record_graph_nodes, windowed_ssim_oracle
-from qlatent.layers import QResBlock, ResBlock
+from qlatent.layers import QResBlock, ResBlock, SamplingSettings, set_sampling
 from qlatent.metrics import windowed_ssim
+from qlatent.noise import NoiseModel
 from qlatent.optim import Adam
 from qlatent.tensor import Tensor
 from qlatent.vae import (
@@ -220,6 +221,20 @@ def test_quantum_vae_trains():
     for _ in range(3):
         vae_train_step(model, opt, batch, rng)
     assert np.abs(block.qmix1.theta.data - theta_before).max() > 0
+
+
+def test_sampled_quantum_vae_refuses_a_training_step():
+    # sampled layers return detached outputs, so a step would train the
+    # classical weights and silently leave every circuit angle untouched
+    cfg = VAEConfig(image_size=16, base_channels=8, quantum=True,
+                    q_qubits=3, q_layers=1)
+    model = VAE(cfg, seed=0)
+    opt = Adam(model.parameters(), lr=1e-3)
+    set_sampling(model, SamplingSettings(100, NoiseModel(trajectories=10)))
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError, match=r"inference only.*no_grad"):
+        vae_train_step(model, opt, rng.uniform(0, 1, (2, 3, 16, 16)), rng)
+    assert model.enc_block1.qmix1.theta.grad is None
 
 
 def test_encode_dataset_batches_consistently():
