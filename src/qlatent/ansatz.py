@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, Circuit, SimulationError
+from .statevector import MAX_QUBITS, Circuit
 
 
 class AnsatzKind(str, Enum):

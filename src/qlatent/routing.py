@@ -8,7 +8,7 @@ permutation is recorded in the result rather than undone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .statevector import MAX_QUBITS, Circuit, SimulationError, TWO_QUBIT_GATES
 

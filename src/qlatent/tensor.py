@@ -4,9 +4,9 @@ A ``Tensor`` wraps a float64 ndarray and records the operations applied
 to it; ``backward()`` on a scalar walks the recorded graph once in
 reverse topological order.  The op set is exactly what the models in
 this package need: broadcast arithmetic, matmul, reductions, a few
-pointwise nonlinearities, group normalization, reshaping, column-free
-convolution (one GEMM per kernel tap), pooling, nearest-neighbour
-upsampling, and concatenation.
+pointwise nonlinearities, group normalization, reshaping, convolution
+(1x1 GEMM; dense operator if H*W <= K*K; else one GEMM per tap),
+pooling, nearest-neighbour upsampling, and concatenation.
 
 Gradients only flow into tensors created with ``requires_grad=True``
 and into results derived from them; everything else is treated as a
@@ -17,6 +17,7 @@ records a graph at all, so inference keeps no saved activations.
 from __future__ import annotations
 
 import contextvars
+import functools
 from contextlib import contextmanager
 
 import numpy as np
@@ -346,7 +347,9 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1,
     """NCHW cross-correlation with an (F, C, K, K) kernel, no bias.
 
     A 1x1 kernel at stride 1 without padding is one batched GEMM over
-    the flattened pixels.  Otherwise the padded input is split once into
+    the flattened pixels; a map of ``h * w <= k * k`` pixels is one
+    product with its dense operator, no costlier there than a direct
+    convolution.  Otherwise the padded input is split once into
     ``stride**2`` phase images of width ``wq`` plus a spare row, with
     the batch flattened into each channel's row.  Outputs are computed
     in rows of width ``wq``, so tap ``(i, j)`` is a GEMM on the
@@ -375,6 +378,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1,
     w_out = (w + 2 * p - k) // s + 1
     if h_out < 1 or w_out < 1:
         raise ValueError("kernel does not fit the padded input")
+    if h * w <= k * k:
+        return _dense_conv(x, weight, s, p, h_out, w_out)
     hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
     img = (hq + 1) * wq  # wide columns per image
     span = n * img
@@ -474,6 +479,46 @@ def _tap_sum(out, terms, lo, hi, tmp):
     for m, src, shift in rest:
         out += np.matmul(m, src[:, lo + shift:hi + shift],
                          out=tmp[:, :hi - lo])
+
+
+def _dense_conv(x, weight, s, p, h_out, w_out):
+    """Conv by its dense operator (``op[o]``: pixel-major image -> output
+    pixel o), gathered from the taps and folded back by a one-hot index."""
+    (n, c, h, w), (f, _, k, _) = x.shape, weight.shape
+    q, r = h_out * w_out, h * w  # output and input pixels
+    onehot = _tap_onehot(k, h, w, s, p)
+    taps = weight.data.reshape(f, c, k * k).T.reshape(k * k, c * f)
+    op = (onehot.T @ taps).reshape(q, r * c, f)
+
+    def pixel_major(a):  # (n, C, H, W) -> (n, H*W*C)
+        return a.reshape(n, c, r).swapaxes(1, 2).reshape(n, r * c)
+
+    out_data = np.matmul(pixel_major(x.data), op).transpose(1, 2, 0)
+    out_data = out_data.copy().reshape(n, f, h_out, w_out)
+
+    def backward():
+        g = out.grad.reshape(n, f, q).transpose(2, 0, 1)
+        if weight.requires_grad:
+            d_op = np.matmul(pixel_major(x.data).T, g).reshape(q * r, c * f)
+            d_taps = (onehot @ d_op).reshape(k * k, c, f)
+            weight._accumulate(d_taps.T.reshape(weight.shape))
+        if x.requires_grad:
+            dx = np.matmul(g, op.swapaxes(1, 2)).sum(axis=0)
+            x._accumulate(dx.reshape(n, r, c).swapaxes(1, 2).reshape(x.shape))
+
+    out = Tensor._from_op(out_data, (x, weight), backward)
+    return out
+
+
+@functools.lru_cache
+def _tap_onehot(k: int, h: int, w: int, s: int, p: int) -> np.ndarray:
+    """1 at (t, o*H*W + i) where output pixel o reads input i by tap t."""
+    rows, cols = (1.0 * (np.arange(k)[:, None, None] == np.arange(size) + p
+                         - s * np.arange((size + 2 * p - k) // s + 1)[:, None])
+                  for size in (h, w))  # (K, out, in): t == i + p - s*o
+    onehot = np.einsum("iyu,jxv->ijyxuv", rows, cols).reshape(k * k, -1)
+    onehot.flags.writeable = False
+    return onehot
 
 
 def _pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:

@@ -6,7 +6,10 @@ import pytest
 
 from oracles import check_grads, numeric_grad, record_graph_nodes
 from oracles import naive_conv as _naive_conv
+from qlatent import tensor as tensor_module
+from qlatent.diffusion import UNet, UNetConfig, build_schedule, ddpm_train_step
 from qlatent.metrics import windowed_ssim
+from qlatent.optim import Adam
 from qlatent.tensor import (
     Tensor,
     concat,
@@ -15,7 +18,7 @@ from qlatent.tensor import (
     no_grad,
     upsample_nearest,
 )
-from qlatent.vae import VAE, VAEConfig
+from qlatent.vae import VAE, VAEConfig, vae_train_step
 
 
 def test_add_mul_broadcast():
@@ -123,6 +126,7 @@ def test_no_gradient_aliases_another_gradient_or_any_data(monkeypatch):
         (lambda x, w: conv2d(x, w), [(4, 4, 3, 3)]),
         (lambda x, w: conv2d(x, w, stride=2), [(4, 4, 3, 3)]),
         (lambda x, w: conv2d(x, w, padding=0), [(4, 4, 1, 1)]),
+        (lambda x, w: conv2d(x.reshape(32, 4, 2, 2), w), [(4, 4, 3, 3)]),
         (lambda x, g, b: group_norm(x, g, b, 2, 1e-5), [(4,), (4,)]),
         (lambda x: upsample_nearest(x, 2), []),
         (lambda x, y: concat([x, y]), [(2, 4, 8, 8)]),
@@ -218,9 +222,20 @@ def test_conv2d_gradients():
     ((1, 2, 6, 9), (2, 2, 3, 3), 2, 1, True),
     ((1, 2, 9, 4), (2, 2, 2, 2), 3, 0, True),
     ((2, 1, 1, 2), (2, 1, 3, 3), 2, 3, True),
+    # maps of at most k*k pixels, which take the dense operator
+    ((1, 3, 2, 2), (4, 3, 3, 3), 1, 1, True),
+    ((2, 3, 1, 1), (4, 3, 3, 3), 1, 1, True),
+    ((2, 3, 3, 3), (4, 3, 3, 3), 1, 1, True),
+    ((2, 3, 1, 3), (4, 3, 3, 3), 1, 1, True),
+    ((2, 3, 3, 3), (4, 3, 3, 3), 2, 1, True),
+    ((2, 3, 2, 2), (4, 3, 2, 2), 1, 0, True),
+    ((2, 3, 2, 2), (4, 3, 3, 3), 1, 2, True),
+    ((2, 3, 3, 3), (4, 3, 3, 3), 1, 1, False),
 ], ids=["resblock-skip-k1", "ssim-window-fixed-weight", "stride2-odd-size",
         "non-square", "non-square-stride2", "stride-above-kernel",
-        "padding-above-input"])
+        "padding-above-input", "dense-batch1", "dense-1x1-map",
+        "dense-3x3-map", "dense-1x3-map", "dense-stride2-3x3-to-2x2",
+        "dense-k2-padding0", "dense-padding2", "dense-fixed-weight"])
 def test_conv2d_shapes_match_naive_and_central_differences(
         x_shape, w_shape, stride, padding, weight_grad):
     rng = np.random.default_rng(8)
@@ -332,7 +347,9 @@ def _sampled_central_differences(loss_fn, t, rng, samples=12, h=1e-3):
     return idx, np.array(diffs)
 
 
-# the VAE's own layer shapes (base_channels=8, 64x64 RGB) at batch 2
+# the VAE's own layer shapes (base_channels=8, 64x64 RGB) at batch 2, and
+# the UNet's widest convs (base_channels=8), on its 2x2 bottleneck at
+# batch 16
 @pytest.mark.parametrize("x_shape, w_shape, stride, padding, weight_grad", [
     ((2, 3, 64, 64), (8, 3, 3, 3), 1, 1, True),
     ((2, 8, 64, 64), (8, 8, 3, 3), 1, 1, True),
@@ -341,8 +358,11 @@ def _sampled_central_differences(loss_fn, t, rng, samples=12, h=1e-3):
     ((2, 8, 32, 32), (16, 8, 1, 1), 1, 0, True),
     ((2, 8, 64, 64), (3, 8, 3, 3), 1, 1, True),
     ((2, 1, 64, 64), (1, 1, 8, 8), 4, 0, False),
+    ((16, 32, 2, 2), (32, 32, 3, 3), 1, 1, True),
+    ((16, 64, 2, 2), (32, 64, 3, 3), 1, 1, True),
 ], ids=["stem-3to8", "8to8", "8to8-stride2", "16to16-stride2",
-        "skip-8to16-k1", "out-8to3", "ssim-window-fixed-weight"])
+        "skip-8to16-k1", "out-8to3", "ssim-window-fixed-weight",
+        "unet-2x2-32to32", "unet-2x2-64to32"])
 def test_conv2d_vae_shapes_match_naive_and_central_differences(
         x_shape, w_shape, stride, padding, weight_grad):
     rng = np.random.default_rng(10)
@@ -369,6 +389,50 @@ def test_conv2d_vae_shapes_match_naive_and_central_differences(
                                    rtol=1e-6, atol=1e-8)
     if not weight_grad:
         assert w.grad is None
+
+
+def _spy_on_dense_conv(monkeypatch):
+    """List that gets (input, weight, stride, padding, output) of every
+    dense-path conv from now, copied when the call returns."""
+    seen = []
+    dense = tensor_module._dense_conv
+
+    def spy(x, weight, s, p, h_out, w_out):
+        out = dense(x, weight, s, p, h_out, w_out)
+        seen.append((x.data.copy(), weight.data.copy(), s, p,
+                     out.data.copy()))
+        return out
+
+    monkeypatch.setattr(tensor_module, "_dense_conv", spy)
+    return seen
+
+
+def test_conv2d_takes_the_dense_path_on_maps_of_at_most_k_squared_pixels(
+        monkeypatch):
+    seen = _spy_on_dense_conv(monkeypatch)
+    w = Tensor(np.ones((2, 3, 3, 3)))
+    for hw in [(3, 3), (4, 4), (1, 10)]:
+        conv2d(Tensor(np.ones((1, 3) + hw)), w)
+    assert [x.shape for x, *_ in seen] == [(1, 3, 3, 3)]
+
+
+def test_only_the_unet_bottleneck_takes_the_dense_path(monkeypatch):
+    seen = _spy_on_dense_conv(monkeypatch)
+    rng = np.random.default_rng(16)
+    unet = UNet(UNetConfig(latent_size=8, base_channels=8), seed=0)
+    ddpm_train_step(unet, Adam(unet.parameters()),
+                    rng.normal(size=(2, 4, 8, 8)), np.array([0, 1]),
+                    build_schedule(timesteps=50), rng)
+    # two 3x3 convs in each of the 8 residual blocks on 2x2 maps
+    assert len(seen) == 16
+    for x, w, s, p, out in seen:
+        np.testing.assert_allclose(out, _naive_conv(x, w, s, p),
+                                   rtol=0, atol=1e-12)
+    seen.clear()
+    vae = VAE(VAEConfig(base_channels=8), seed=0)
+    vae_train_step(vae, Adam(vae.parameters()),
+                   rng.uniform(0, 1, (2, 3, 64, 64)), rng)
+    assert seen == []
 
 
 def test_conv2d_peak_memory_is_a_few_inputs():
