@@ -24,7 +24,7 @@ from .ansatz import (
 )
 from .noise import NoiseModel, readout_marginals, sample_noisy_counts
 from .statevector import z_expectations
-from .tensor import Tensor, conv2d, group_norm
+from .tensor import Tensor, conv2d, group_norm, linear
 
 
 def trunc_normal(shape, rng: np.random.Generator, std: float = 0.02):
@@ -87,7 +87,8 @@ class Module:
 
 
 class Linear(Module):
-    """y = x @ W + b with W of shape (in_features, out_features)."""
+    """y = x @ W + b with W of shape (in_features, out_features), for a
+    2-D (batch, in_features) x."""
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator, bias: bool = True):
@@ -97,10 +98,7 @@ class Linear(Module):
                      if bias else None)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class Conv2d(Module):
@@ -121,8 +119,8 @@ class Conv2d(Module):
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, stride=self.stride,
-                      padding=self.padding) + self.bias.reshape(1, -1, 1, 1)
+        return conv2d(x, self.weight, self.bias, stride=self.stride,
+                      padding=self.padding)
 
 
 class GroupNorm(Module):

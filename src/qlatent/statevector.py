@@ -7,20 +7,23 @@ the first character ("10" means qubit0=1, qubit1=0).
 
 A circuit compiles once into a plan (gate fusion as in qsim, Isakov et al.
 2021), cached by structure, that serves exact, Pauli-trajectory and
-adjoint runs of k rows.  Its stages: a closed-form product state from each
-qubit's first gate; runs of one-qubit gates with the same angles in every
-row (fixed or ``shared``) as Kronecker blocks on up to four adjacent
-qubits, one matmul each on the rows-last (2**n, k) state, with at most one
-gate per qubit in a block (a second gate on a qubit starts a new run);
-runs of gates with per-row angles on distinct qubits as per-row Kronecker
-blocks on the same windows, one batched matmul each on the rows-first (k,
-2**n) state; each CNOT/CZ/SWAP run as one index gather and sign mask in
-either layout, so a run changes layout only between a block and a per-row
-stage.  Pauli codes run the same plan: after a one-qubit op they follow
-its stage, and after a CNOT/CZ/SWAP its run, moved through the run's later
-gates by the tableau rules (Aaronson & Gottesman 2004), on the rows they
-hit.  A circuit of only RY, CNOT, CZ and SWAP, run without Pauli codes,
-stays in float64.  Callers see (k, 2**n) complex128 amplitudes.
+adjoint runs of k rows (an adjoint run keeps the state before each per-row
+stage and each group of blocks on distinct qubits, and its reverse sweep
+carries lambda alone back over them).  Its stages: a closed-form product
+state from each qubit's first gate; runs of one-qubit gates with the same
+angles in every row (fixed or ``shared``) as Kronecker blocks on up to
+four adjacent qubits, one matmul each on the rows-last (2**n, k) state,
+with at most one gate per qubit in a block (a second gate on a qubit
+starts a new run); runs of gates with per-row angles on distinct qubits as
+per-row Kronecker blocks on the same windows, one batched matmul each on
+the rows-first (k, 2**n) state; each CNOT/CZ/SWAP run as one index gather
+and sign mask in either layout, so a run changes layout only between a
+block and a per-row stage.  Pauli codes run the same plan: after a
+one-qubit op they follow its stage, and after a CNOT/CZ/SWAP its run,
+moved through the run's later gates by the tableau rules (Aaronson &
+Gottesman 2004), on the rows they hit.  A circuit of only RY, CNOT, CZ and
+SWAP, run without Pauli codes, stays in float64.  Callers see (k, 2**n)
+complex128 amplitudes.
 """
 
 from __future__ import annotations
@@ -477,11 +480,15 @@ def _insert_paulis(psi, circuit, plan, paulis, ops) -> None:
         psi[:, hit] = rows
 
 
-def _run(bound: SimpleNamespace, paulis: dict | None = None) -> np.ndarray:
+def _run(bound: SimpleNamespace, paulis: dict | None = None,
+         keep: dict | None = None) -> np.ndarray:
     """The (k, 2**n) final state of a binding, with ``paulis``: C-ordered
     if the run ends rows-first, else a rows-last state's transposed view.
     The state changes layout only where a stage needs the other: ``rows``
-    stages run rows-first, blocks rows-last, and the rest on either."""
+    stages run rows-first, blocks rows-last, and the rest on either.
+    ``keep`` maps stage s to the rows-last state before it, for rows
+    stages, a first perm and each block that starts a group of blocks on
+    ascending, disjoint qubits; nothing writes a kept state again."""
     circuit, plan, mats = bound.circuit, bound.plan, bound.mats
     after = {}  # stage -> the ops whose codes follow it, in op order
     for i in sorted(paulis or ()):
@@ -498,17 +505,25 @@ def _run(bound: SimpleNamespace, paulis: dict | None = None) -> np.ndarray:
         _insert_paulis(psi, circuit, plan, paulis, after[-1])
     tmp = np.empty_like(psi)
     rows_first = False  # psi is (k, 2**n), not (2**n, k)
+    start = MAX_QUBITS  # a block from this qubit on joins the kept group
     for s, (kind, *args) in enumerate(plan.stages):
+        if keep is not None and (kind == "rows" or kind == "perm" and not s):
+            keep[s] = psi.T.copy() if rows_first else psi.copy()
         if kind != "perm" and rows_first == (kind == "block"):
             psi, tmp = _transpose(psi, tmp)
             rows_first = not rows_first
         if kind == "block":
             lo, w, _ = plan.blocks[args[0]]
+            if keep is not None and lo < start:  # w = 1 works in place
+                keep[s] = psi if w > 1 else psi.copy()
             psi, tmp = _apply_block(psi, tmp, lo, w, bound.blocks[args[0]])
+            if keep and tmp is keep.get(s):
+                tmp = np.empty_like(tmp)
         elif kind == "rows":
             psi, tmp = _apply_rows(psi, tmp, mats, args[1])
         else:
             psi, tmp = _apply_perm(psi, tmp, *args, rows_first)
+        start = lo + w if kind == "block" else MAX_QUBITS
         if after and s in after:  # on the (2**n, k) view of either layout
             _insert_paulis(psi.T if rows_first else psi, circuit, plan,
                            paulis, after[s])
@@ -544,21 +559,39 @@ def _z_signs(n_qubits: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _partial_traces(w: int) -> np.ndarray:
+def _partial_traces(w: int, dtype) -> np.ndarray:
     """(4 w, 4**w) map from a 2**w-square overlap on w qubits to the 2x2
     partial trace over the others of each qubit i, at rows 4 i .. 4 i + 3."""
     x, y = np.indices((1 << w, 1 << w))
     return np.concatenate([
         (2 * (x >> i & 1) + (y >> i & 1) == np.arange(4)[:, None, None])
         & ((x ^ y) | 1 << i == 1 << i) for i in range(w)]).reshape(
-        4 * w, -1).astype(np.float64)
+        4 * w, -1).astype(dtype)
 
 
-def _row_overlaps(state: np.ndarray, qubit: int) -> np.ndarray:
-    """(k, 2, 2) M[b, x, y] = sum of conj(lambda[x]) phi[y] over the other
-    qubits, for the stacked state [lambda; phi] of shape (2, 2**n, k)."""
-    lam, phi = state.reshape(2, -1, 2, 1 << qubit, state.shape[-1])
-    return np.einsum("oxik,oyik->kxy", lam.conj(), phi)
+@functools.lru_cache(maxsize=16)
+def _qubit_maps(n: int, qubits: tuple, dtype) -> tuple:
+    """(Q, 2, 2**n) selectors, 1 where qubit ``qubits[j]`` of basis state
+    i is x, and (Q, 2**n) indices i ^ 2**qubits[j]."""
+    i, q = np.arange(1 << n), np.array(qubits)[:, None]
+    sel = ((i >> q & 1)[:, None] == np.arange(2)[:, None]).astype(dtype)
+    flip = i ^ 1 << q
+    sel.flags.writeable = flip.flags.writeable = False
+    return sel, flip
+
+
+def _qubit_overlaps(lam: np.ndarray, phi: np.ndarray, qubits) -> np.ndarray:
+    """(Q, k, 2, 2) M[j, b, x, y] = sum of conj(lambda[x]) phi[y] over the
+    qubits other than ``qubits[j]``, row b, of rows-last (2**n, k) states."""
+    sel, flip = _qubit_maps(lam.shape[0].bit_length() - 1, tuple(qubits),
+                            lam.dtype)
+    lam, flipped = lam.conj(), phi[flip]
+    same = sel.reshape(-1, lam.shape[0]) @ (lam * phi)  # y = x
+    other = sel @ np.multiply(flipped, lam, out=flipped)  # y = 1 - x
+    m = np.empty((len(qubits), lam.shape[1], 2, 2), complex)
+    m[..., 0, 0], m[..., 1, 1] = same[::2], same[1::2]
+    m[..., 0, 1], m[..., 1, 0] = other[:, 0], other[:, 1]
+    return m
 
 
 def _adjoint_derivatives(kind: str, angles, m: np.ndarray) -> list:
@@ -589,60 +622,72 @@ def z_expectations(circuit: Circuit, params: np.ndarray,
     weights[b, q] <Z_q> as a pair: per-row slot gradients (k, n_params -
     S) and shared slot gradients (S,) summed over the rows, S =
     len(shared).  This is the adjoint method (Jones & Gacon 2020,
-    arXiv:2009.02823) for H_b = sum_q weights[b, q] Z_q: from phi = psi
-    and lambda = H_b psi, one reverse sweep over the forward's binding
-    applies U^dag to both, leaving the binding and the final state as
-    they are, and reads 2 Re <lambda|dU|phi> per slot from 2x2 overlaps.
+    arXiv:2009.02823) for H_b = sum_q weights[b, q] Z_q: the forward keeps
+    phi, its state before each rows stage and block group, and one reverse
+    sweep of the same binding carries lambda = H_b psi alone, reading 2 Re
+    <lambda|dU|phi> per slot from 2x2 overlaps with the kept phi.
     """
     bound = _prepare(circuit, params, shared)
     plan, k, n = bound.plan, bound.k, circuit.n_qubits
-    final = _run(bound).T  # rows-last, for the sweep
+    kept = {}  # kept[0] is the product state, if any stage follows it
+    final = _run(bound, keep=kept).T  # rows-last, for the sweep
     z = pauli_z_expectations_batch(final.T.astype(complex, order="C"), n)
 
     def vjp(weights: np.ndarray):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (k, n):
             raise SimulationError(f"weights {weights.shape} are not {(k, n)}")
-        # state[0] = lambda, state[1] = phi, C-ordered: one apply moves both
-        state = np.broadcast_to(final, (2,) + final.shape).copy()
-        state[0] *= _z_signs(n) @ weights.T
-        tmp = np.empty_like(state)
+        lam = np.multiply(final, _z_signs(n) @ weights.T, order="C")
+        tmp, group = np.empty_like(lam), []  # blocks undone since a kept phi
         # overlaps M after U^dag: per op and row (the identity's entry takes
         # the identity factors' and goes unread), per block factor row-summed
         ms = np.zeros((plan.size + 1, k, 2, 2), complex)
         m_factor = np.empty((len(plan.factor_ops), 2, 2), complex)
-        for stage in reversed(plan.stages):
+        for s in range(len(plan.stages) - 1, -1, -1):
+            stage = plan.stages[s]
             if stage[0] == "block":
-                lo, w, fidx = plan.blocks[stage[1]]
-                state, tmp = _apply_block(state, tmp, lo, w,
-                                          bound.blocks[stage[1]].conj().T)
-                lam, phi = state.reshape(2, -1, 1 << w, k << lo)
-                overlap = (lam.conj() @ phi.transpose(0, 2, 1)).sum(axis=0)
-                m_factor[fidx] = (_partial_traces(w)
-                                  @ overlap.ravel()).reshape(w, 2, 2)
+                lo, w, _ = plan.blocks[stage[1]]
+                lam, tmp = _apply_block(lam, tmp, lo, w,
+                                        bound.blocks[stage[1]].conj().T)
+                group.append(plan.blocks[stage[1]])
+                if s in kept:  # blocks on distinct qubits commute
+                    lam_c = lam.conj()
+                    for lo, w, fidx in group:  # row-summed overlaps
+                        x = lam_c.reshape(-1, 1 << w, k << lo)
+                        y = kept[s].reshape(x.shape).transpose(0, 2, 1)
+                        m = (x @ y).sum(axis=0).ravel()
+                        m = _partial_traces(w, m.dtype) @ m
+                        m_factor[fidx] = m.reshape(w, 2, 2)
+                    group = []
             elif stage[0] == "rows":  # ops on distinct qubits commute
-                for q, g in reversed(stage[1]):
-                    _apply_1q(state, tmp, q,
+                for q, g in stage[1]:
+                    _apply_1q(lam, tmp, q,
                               bound.mats[:, :, g].conj().transpose(1, 0, 2))
-                    ms[g] = _row_overlaps(state, q)
+                qs, gs = zip(*stage[1])
+                ms[list(gs)] = _qubit_overlaps(lam, kept[s], qs)
             else:  # undo psi[i] <- +-psi[perm[i]]
                 if stage[2] is not None:
-                    np.negative(state, out=state, where=stage[2][:, None])
+                    np.negative(lam, out=lam, where=stage[2][:, None])
                 if stage[1] is not None:
-                    tmp[:, stage[1]] = state
-                    state, tmp = tmp, state
+                    tmp[stage[1]] = lam
+                    lam, tmp = tmp, lam
         ms[plan.factor_ops, 0] = m_factor  # a block's ops: in row 0 only
         # each qubit's first op acts on |0>: with M the overlap at the
         # product state, its <lambda|dU U^dag|phi> is sum(D * U^T M conj(U))
         if plan.product:
             qs, gs = map(list, zip(*plan.product))
-            u = bound.mats[:, :, gs]
-            ms[gs] = np.einsum("yxgk,gkyz,zwgk->gkxw", u, np.stack(
-                [_row_overlaps(state, q) for q in qs]), u.conj())
+            m = _qubit_overlaps(lam, kept.get(0, final), qs)
+            u = bound.mats[:, :, gs].transpose(2, 3, 0, 1)  # (G, k, 2, 2)
+            ut, uc = u.swapaxes(2, 3), u.conj()
+            m = ut[..., :1] * m[..., :1, :] + ut[..., 1:] * m[..., 1:, :]
+            ms[gs] = m[..., :1] * uc[..., :1, :] + m[..., 1:] * uc[..., 1:, :]
+        summed = ms.sum(axis=1, keepdims=True)
         derivs = np.zeros((plan.size, 3, k))
-        for (kind, _, gs, _), angles in zip(plan.kinds, bound.angles):
-            for a, v in enumerate(_adjoint_derivatives(kind, angles, ms[gs])):
-                derivs[gs, a] = v
+        for (kind, uni, gs, _), angles in zip(plan.kinds, bound.angles):
+            # a uni op's angles are one column and D is linear in M: sum M
+            m = (summed if uni else ms)[gs]
+            for a, v in enumerate(_adjoint_derivatives(kind, angles, m)):
+                derivs[gs, a, :v.shape[1]] = v
         grads = derivs[plan.slot_at]
         return grads[:plan.n_row].T, grads[plan.n_row:].sum(axis=1)
 

@@ -4,8 +4,9 @@ A ``Tensor`` wraps a float64 ndarray and records the operations applied
 to it; ``backward()`` on a scalar walks the recorded graph once in
 reverse topological order.  The op set is exactly what the models in
 this package need: broadcast arithmetic, matmul, reductions, a few
-pointwise nonlinearities, group normalization, reshaping, convolution
-(1x1 GEMM; dense operator if H*W <= K*K; else one GEMM per tap),
+pointwise nonlinearities, group normalization, reshaping, a dense layer
+(``linear``) and convolution (1x1 GEMM; dense operator if H*W <= K*K;
+else one GEMM per tap) that each add their bias inside one node,
 pooling, nearest-neighbour upsampling, and concatenation.
 
 Gradients only flow into tensors created with ``requires_grad=True``
@@ -342,9 +343,39 @@ class Tensor:
 # ---- structured ops ---------------------------------------------------
 
 
-def conv2d(x: Tensor, weight: Tensor, stride: int = 1,
-           padding: int = 1) -> Tensor:
-    """NCHW cross-correlation with an (F, C, K, K) kernel, no bias.
+def _with_bias(out: Tensor, bias: Tensor | None) -> Tensor:
+    """Add an (F,) ``bias`` along axis 1 of the fresh node ``out`` inside
+    it: its data in place, and its backward gives the bias the gradient
+    summed over the other axes, in ``_unbroadcast``'s order."""
+    if bias is None:
+        return out
+    out.data += bias.data.reshape((-1,) + (1,) * (out.ndim - 2))
+    if bias.requires_grad and _grad_enabled.get():
+        inner = out._backward
+
+        def backward():
+            if inner is not None:
+                inner()
+            shape = (1,) + bias.shape + (1,) * (out.ndim - 2)
+            bias._accumulate(_unbroadcast(out.grad, shape).reshape(-1))
+
+        out.requires_grad = True
+        out._parents += (bias,)
+        out._backward = backward
+    return out
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ weight + bias`` for a 2-D ``x``, as one node."""
+    if x.ndim != 2:
+        raise ValueError(f"linear takes a 2-D x, got shape {x.shape}")
+    return _with_bias(x @ weight, bias)
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+           stride: int = 1, padding: int = 1) -> Tensor:
+    """NCHW cross-correlation with an (F, C, K, K) kernel, plus an (F,)
+    ``bias`` per output channel if given, as one node.
 
     A 1x1 kernel at stride 1 without padding is one batched GEMM over
     the flattened pixels; a map of ``h * w <= k * k`` pixels is one
@@ -362,6 +393,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1,
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError("conv2d expects NCHW input and FCKK weight")
+    if bias is not None and bias.shape != weight.shape[:1]:
+        raise ValueError(f"bias {bias.shape} fits no weight {weight.shape}")
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     if padding < 0:
@@ -372,14 +405,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1,
         raise ValueError(
             f"weight {weight.shape} incompatible with input {x.shape}")
     if k == 1 and stride == 1 and padding == 0:
-        return _pointwise_conv(x, weight)
+        return _with_bias(_pointwise_conv(x, weight), bias)
     s, p = stride, padding
     h_out = (h + 2 * p - k) // s + 1
     w_out = (w + 2 * p - k) // s + 1
     if h_out < 1 or w_out < 1:
         raise ValueError("kernel does not fit the padded input")
     if h * w <= k * k:
-        return _dense_conv(x, weight, s, p, h_out, w_out)
+        return _with_bias(_dense_conv(x, weight, s, p, h_out, w_out), bias)
     hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
     img = (hq + 1) * wq  # wide columns per image
     span = n * img
@@ -460,7 +493,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1,
             x._accumulate(dx, owned=True)
 
     out = Tensor._from_op(out_data, (x, weight), backward)
-    return out
+    return _with_bias(out, bias)
 
 
 def _phase_window(a: int, p: int, s: int, size: int) -> tuple[slice, slice]:

@@ -214,43 +214,53 @@ def test_conv2d_gradients():
                 [x, w], rtol=1e-4, atol=1e-6)
 
 
-@pytest.mark.parametrize("x_shape, w_shape, stride, padding, weight_grad", [
-    ((2, 3, 5, 5), (4, 3, 1, 1), 1, 0, True),
-    ((2, 1, 16, 16), (1, 1, 8, 8), 4, 0, False),
-    ((2, 2, 7, 7), (3, 2, 3, 3), 2, 1, True),
-    ((2, 2, 5, 8), (3, 2, 3, 3), 1, 1, True),
-    ((1, 2, 6, 9), (2, 2, 3, 3), 2, 1, True),
-    ((1, 2, 9, 4), (2, 2, 2, 2), 3, 0, True),
-    ((2, 1, 1, 2), (2, 1, 3, 3), 2, 3, True),
+@pytest.mark.parametrize(
+    "x_shape, w_shape, stride, padding, weight_grad, bias", [
+    ((2, 3, 5, 5), (4, 3, 1, 1), 1, 0, True, False),
+    ((2, 1, 16, 16), (1, 1, 8, 8), 4, 0, False, False),
+    ((2, 2, 7, 7), (3, 2, 3, 3), 2, 1, True, False),
+    ((2, 2, 5, 8), (3, 2, 3, 3), 1, 1, True, False),
+    ((1, 2, 6, 9), (2, 2, 3, 3), 2, 1, True, False),
+    ((1, 2, 9, 4), (2, 2, 2, 2), 3, 0, True, False),
+    ((2, 1, 1, 2), (2, 1, 3, 3), 2, 3, True, False),
     # maps of at most k*k pixels, which take the dense operator
-    ((1, 3, 2, 2), (4, 3, 3, 3), 1, 1, True),
-    ((2, 3, 1, 1), (4, 3, 3, 3), 1, 1, True),
-    ((2, 3, 3, 3), (4, 3, 3, 3), 1, 1, True),
-    ((2, 3, 1, 3), (4, 3, 3, 3), 1, 1, True),
-    ((2, 3, 3, 3), (4, 3, 3, 3), 2, 1, True),
-    ((2, 3, 2, 2), (4, 3, 2, 2), 1, 0, True),
-    ((2, 3, 2, 2), (4, 3, 3, 3), 1, 2, True),
-    ((2, 3, 3, 3), (4, 3, 3, 3), 1, 1, False),
+    ((1, 3, 2, 2), (4, 3, 3, 3), 1, 1, True, False),
+    ((2, 3, 1, 1), (4, 3, 3, 3), 1, 1, True, False),
+    ((2, 3, 3, 3), (4, 3, 3, 3), 1, 1, True, False),
+    ((2, 3, 1, 3), (4, 3, 3, 3), 1, 1, True, False),
+    ((2, 3, 3, 3), (4, 3, 3, 3), 2, 1, True, False),
+    ((2, 3, 2, 2), (4, 3, 2, 2), 1, 0, True, False),
+    ((2, 3, 2, 2), (4, 3, 3, 3), 1, 2, True, False),
+    ((2, 3, 3, 3), (4, 3, 3, 3), 1, 1, False, False),
+    # the bias inside the op, on each of its three paths
+    ((2, 3, 5, 5), (4, 3, 1, 1), 1, 0, True, True),
+    ((2, 3, 2, 2), (4, 3, 3, 3), 1, 1, True, True),
+    ((2, 2, 7, 7), (3, 2, 3, 3), 2, 1, True, True),
 ], ids=["resblock-skip-k1", "ssim-window-fixed-weight", "stride2-odd-size",
         "non-square", "non-square-stride2", "stride-above-kernel",
         "padding-above-input", "dense-batch1", "dense-1x1-map",
         "dense-3x3-map", "dense-1x3-map", "dense-stride2-3x3-to-2x2",
-        "dense-k2-padding0", "dense-padding2", "dense-fixed-weight"])
+        "dense-k2-padding0", "dense-padding2", "dense-fixed-weight",
+        "bias-k1-gemm", "bias-dense-2x2-map", "bias-stride2-taps"])
 def test_conv2d_shapes_match_naive_and_central_differences(
-        x_shape, w_shape, stride, padding, weight_grad):
+        x_shape, w_shape, stride, padding, weight_grad, bias):
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=x_shape), requires_grad=True)
     w = Tensor(rng.normal(size=w_shape), requires_grad=weight_grad)
-    got = conv2d(x, w, stride=stride, padding=padding)
-    np.testing.assert_allclose(
-        got.data, _naive_conv(x.data, w.data, stride, padding), atol=1e-12)
+    b = Tensor(rng.normal(size=w_shape[0]), requires_grad=True) if bias \
+        else None
+    got = conv2d(x, w, b, stride=stride, padding=padding)
+    want = _naive_conv(x.data, w.data, stride, padding)
+    if bias:
+        want += b.data[:, None, None]
+    np.testing.assert_allclose(got.data, want, atol=1e-12)
     upstream = Tensor(rng.normal(size=got.shape))
     # the loss is linear in each input, so central differences are exact
     # up to rounding
     check_grads(
-        lambda: (conv2d(x, w, stride=stride, padding=padding)
+        lambda: (conv2d(x, w, b, stride=stride, padding=padding)
                  * upstream).sum(),
-        [x, w] if weight_grad else [x], rtol=1e-6, atol=1e-8)
+        [x] + [w] * weight_grad + [b] * bias, rtol=1e-6, atol=1e-8)
     if not weight_grad:
         assert w.grad is None
 

@@ -4,7 +4,8 @@ A plan runs a product state, fused blocks of same-angle one-qubit gates
 (at most one gate per qubit in a block), per-row Kronecker blocks of
 runs of per-row gates on distinct qubits, and permutation stages.  Every check here compares with
 ``tests/oracles.py`` matrices or shifted expectation values computed
-from them, never with the plan itself.
+from them, never with the plan itself, except that repeated adjoint calls
+on one binding must also equal fresh ones bit for bit.
 """
 
 import tracemalloc
@@ -431,6 +432,67 @@ def test_adjoint_of_a_run_that_ends_rows_first(monkeypatch):
     got, _ = vjp(weights)
     np.testing.assert_allclose(got, _dense_shift_gradients(c, full, weights),
                                rtol=0, atol=1e-10)
+
+
+def _every_stage_circuit():
+    """Five qubits through a product state and every stage kind,
+    including those that work on the state in place: a CNOT + CZ gather,
+    a two-qubit block, two per-row ops, a SWAP, a one-op per-row stage
+    entered rows-first, a one-qubit block, a sign-only CZ, then a layer
+    on all five qubits, which runs as two blocks on disjoint qubits (the
+    second one-qubit) that share one kept state.  Its 10 slots: 5
+    product angles, then 5 more."""
+    c = Circuit(5)
+    for q in range(5):
+        c.add("RY", (q,), (0.0,), trainable=True)
+    c.add("CNOT", (0, 1))
+    c.add("CZ", (1, 2))
+    c.add("RZ", (0,), (0.4,))
+    c.add("U3", (1,), (0.3, 1.1, -0.7))
+    c.add("RY", (0,), (0.0,), trainable=True)
+    c.add("U3", (2,), (0.0, 0.0, 0.0), trainable=True)
+    c.add("SWAP", (0, 2))
+    c.add("RZ", (1,), (0.0,), trainable=True)
+    c.add("RY", (1,), (0.9,))
+    c.add("CZ", (0, 1))
+    for q, kind, angles in ((0, "U3", (0.2, 0.5, 0.8)), (1, "RY", (1.3,)),
+                            (2, "RZ", (-0.4,)), (3, "RY", (0.7,)),
+                            (4, "U3", (1.2, -0.3, 0.1))):
+        c.add(kind, (q,), angles)
+    return c
+
+
+@pytest.mark.parametrize("n_shared", [0, 5], ids=["per-row", "shared"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_kept_states_are_read_only(k, n_shared):
+    # the forward keeps stage inputs for the adjoint sweep: a kept view
+    # that a later stage overwrites, or a sweep that writes what it reads,
+    # would make gradients wrong or make a second vjp differ
+    c = _every_stage_circuit()
+    plan = statevector._plan(*_key(c, n_shared))
+    kinds = {stage[0] for stage in plan.stages}
+    assert plan.product and kinds == ({"block", "perm", "rows"} if not n_shared
+                                      else {"block", "perm"})
+    rng = np.random.default_rng(31 + k)
+    full = rng.uniform(0, 2 * np.pi, (k, c.n_params))
+    n_row = c.n_params - n_shared
+    full[:, n_row:] = full[0, n_row:]
+    rows, shared = full[:, :n_row], full[0, n_row:]
+    z, vjp = z_expectations(c, rows, shared=shared)
+    z_before = z.copy()
+    w1, w2 = rng.standard_normal((2, k, 5))
+    first = vjp(w1)
+    want = _dense_shift_gradients(c, full, w1)
+    np.testing.assert_allclose(first[0], want[:, :n_row], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(first[1], want[:, n_row:].sum(axis=0),
+                               rtol=0, atol=1e-10)
+    for weights, got in ((w1, vjp(w1)), (w2, vjp(w2)), (w1, vjp(w1))):
+        fresh_z, fresh_vjp = z_expectations(c, rows, shared=shared)
+        np.testing.assert_array_equal(fresh_z, z_before)
+        for a, b in zip(got, fresh_vjp(weights)):
+            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(z, z_before)
+    np.testing.assert_allclose(z, _dense_z(c, full), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(AnsatzKind))

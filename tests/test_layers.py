@@ -58,15 +58,33 @@ def test_default_groups():
     assert default_groups(3) == 1
 
 
-def test_linear_forward_and_grads():
+def test_linear_forward_and_grads(monkeypatch):
     rng = np.random.default_rng(1)
     layer = Linear(3, 2, rng)
     x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    recorded = record_graph_nodes(monkeypatch)
     out = layer(x)
+    assert recorded == [True]  # the matmul and its bias: one node
     np.testing.assert_allclose(
         out.data, x.data @ layer.weight.data + layer.bias.data)
     check_grads(lambda: (layer(x) ** 2).sum(),
                 [x, layer.weight, layer.bias], rtol=1e-4, atol=1e-7)
+    with pytest.raises(ValueError, match="2-D"):
+        layer(Tensor(np.ones((2, 4, 3))))
+
+
+def test_linear_and_conv2d_record_one_node_each(monkeypatch):
+    # the bias add lives inside the op: no reshape or add node of its own,
+    # on every conv path (1x1 GEMM, dense operator on a 2x2 map, taps)
+    rng = np.random.default_rng(4)
+    recorded = record_graph_nodes(monkeypatch)
+    Linear(3, 2, rng)(Tensor(rng.normal(size=(4, 3)), requires_grad=True))
+    assert recorded == [True]
+    for kernel, stride, hw in ((1, 1, 5), (3, 1, 2), (3, 2, 6)):
+        recorded.clear()
+        layer = Conv2d(3, 4, rng, kernel=kernel, stride=stride)
+        layer(Tensor(rng.normal(size=(2, 3, hw, hw)), requires_grad=True))
+        assert recorded == [True]
 
 
 def test_conv2d_module():
