@@ -62,7 +62,7 @@ from .diffusion import (
     zero_prediction_baseline,
 )
 from .layers import QuantumLayer, SamplingSettings, set_sampling
-from .metrics import MetricReport, evaluate_sets
+from .metrics import EMBED_METHODS, MetricReport, evaluate_sets
 from .noise import (
     NoiseModel,
     hamming_from_marginals,
@@ -155,7 +155,7 @@ _QUANTUM_FIELDS = [
     Field("q_kind", str, "ESE2", help="ansatz kind for quantum layers"),
 ]
 _EVAL_FIELDS = [
-    Field("embed_method", str, "pool", choices=("pool", "project"),
+    Field("embed_method", str, "pool", choices=EMBED_METHODS,
           help="feature embedding for distribution metrics"),
     Field("knn_k", int, 3, help="k for precision/recall neighbourhoods"),
 ]
@@ -298,7 +298,7 @@ SCHEMA_BENCH = [
 ]
 
 
-def check_bench(cfg: dict, out: Path) -> dict:
+def check_bench(cfg: dict) -> dict:
     kinds = _parse_kinds(cfg["kinds"])
     qubits = _parse_ints(cfg["qubits"])
     if not qubits or any(n < 2 for n in qubits):
@@ -408,7 +408,7 @@ SCHEMA_MAKE_DATASET = [
 ]
 
 
-def check_make_dataset(cfg: dict, out: Path) -> dict:
+def check_make_dataset(cfg: dict) -> dict:
     _require_min(cfg, n_images=5)
     params = FundusParams(size=cfg["image_size"])
     return {"params": params}
@@ -444,7 +444,7 @@ SCHEMA_TRAIN_VAE = [
 ] + _QUANTUM_FIELDS
 
 
-def check_train_vae(cfg: dict, out: Path) -> dict:
+def check_train_vae(cfg: dict) -> dict:
     _require_min(cfg, epochs=1, batch_size=1)
     if cfg["learning_rate"] <= 0:
         raise ValueError("learning_rate: must be > 0")
@@ -497,7 +497,7 @@ SCHEMA_TRAIN_DDPM = [
 ] + _QUANTUM_FIELDS
 
 
-def check_train_ddpm(cfg: dict, out: Path) -> dict:
+def check_train_ddpm(cfg: dict) -> dict:
     _require_min(cfg, epochs=1, batch_size=1)
     if cfg["learning_rate"] <= 0:
         raise ValueError("learning_rate: must be > 0")
@@ -575,7 +575,7 @@ SCHEMA_SAMPLE = [
 ]
 
 
-def check_sample(cfg: dict, out: Path) -> dict:
+def check_sample(cfg: dict) -> dict:
     pair = _load_pair(cfg, "vae_checkpoint", "ddpm_checkpoint")
     alphas = _parse_floats(cfg["alphas"])
     if not alphas:
@@ -632,7 +632,7 @@ SCHEMA_EVALUATE = [
 ] + _EVAL_FIELDS
 
 
-def check_evaluate(cfg: dict, out: Path) -> dict:
+def check_evaluate(cfg: dict) -> dict:
     _require_min(cfg, knn_k=1)
     real_manifest = _require_file(cfg["data"], "data")
     gen_manifest = _require_file(cfg["generated"], "generated")
@@ -751,7 +751,7 @@ def _compare_schema(raw: dict[str, str]) -> list[Field]:
     return schema
 
 
-def check_compare(cfg: dict, out: Path) -> dict:
+def check_compare(cfg: dict) -> dict:
     names = [tok.strip() for tok in cfg["variants"].split(",")
              if tok.strip()]
     if not names:
@@ -857,7 +857,7 @@ def main(argv=None) -> int:
                                       args.overrides)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        ctx = check(cfg, out)
+        ctx = check(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

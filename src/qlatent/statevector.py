@@ -7,18 +7,18 @@ the first character ("10" means qubit0=1, qubit1=0).
 
 A circuit compiles once into a plan (gate fusion as in qsim, Isakov et al.
 2021), cached by structure, that serves exact, Pauli-trajectory and
-adjoint runs of k rows (an adjoint run keeps the state before each per-row
-stage and each group of blocks on distinct qubits, and its reverse sweep
-carries lambda alone back over them).  Its stages: a closed-form product
-state from each qubit's first gate; runs of one-qubit gates with the same
-angles in every row (fixed or ``shared``) as Kronecker blocks on up to
-four adjacent qubits, one matmul each on the rows-last (2**n, k) state,
-with at most one gate per qubit in a block (a second gate on a qubit
-starts a new run); runs of gates with per-row angles on distinct qubits as
-per-row Kronecker blocks on the same windows, one batched matmul each on
-the rows-first (k, 2**n) state; each CNOT/CZ/SWAP run as one index gather
-and sign mask in either layout, so a run changes layout only between a
-block and a per-row stage.  Pauli codes run the same plan: after a
+adjoint runs of k rows (an adjoint run keeps the input of each one-qubit
+stage, one stage per run, and its reverse sweep carries lambda alone back
+over them).  Its stages: a closed-form product state from each qubit's
+first gate; each run of one-qubit gates with the same angles in every row
+(fixed or ``shared``) as one stage of Kronecker blocks on up to four
+adjacent qubits, one matmul each on the rows-last (2**n, k) state, with
+at most one gate per qubit in a run (a second gate on a qubit starts a new
+run); each run of gates with per-row angles on distinct qubits as one
+stage of per-row Kronecker blocks on the same windows, one batched matmul
+each on the rows-first (k, 2**n) state; each CNOT/CZ/SWAP run as one index
+gather and sign mask in either layout, so a run changes layout only
+between a block and a per-row stage.  Pauli codes run the same plan: after a
 one-qubit op they follow its stage, and after a CNOT/CZ/SWAP its run,
 moved through the run's later gates by the tableau rules (Aaronson &
 Gottesman 2004), on the rows they hit.  A circuit of only RY, CNOT, CZ and
@@ -158,34 +158,6 @@ class StateVector:
         return f"StateVector(n_qubits={self.n_qubits})"
 
 
-def _ry(theta) -> np.ndarray:
-    """RY matrices, real, shape (2, 2) + theta.shape."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]])
-
-
-def _rz(theta) -> np.ndarray:
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    zero = np.zeros_like(theta)
-    return np.array([[np.exp(-0.5j * theta), zero],
-                     [zero, np.exp(0.5j * theta)]])
-
-
-def _u3(theta, phi, lam) -> np.ndarray:
-    """U3 matrices, shape (2, 2) + the broadcast shape of the angles."""
-    theta, phi, lam = (np.atleast_1d(np.asarray(a, dtype=np.float64))
-                       for a in (theta, phi, lam))
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.empty((2, 2) + np.broadcast_shapes(theta.shape, phi.shape,
-                                              lam.shape), dtype=np.complex128)
-    m[0, 0] = c
-    m[0, 1] = -np.exp(1j * lam) * s
-    m[1, 0] = np.exp(1j * phi) * s
-    m[1, 1] = np.exp(1j * (phi + lam)) * c
-    return m
-
-
 # Kinds with real matrices: a circuit of only these, run without Pauli
 # codes, keeps its state in float64.
 _REAL_KINDS = frozenset(("RY", "CNOT", "CZ", "SWAP"))
@@ -194,7 +166,6 @@ _REAL_KINDS = frozenset(("RY", "CNOT", "CZ", "SWAP"))
 # the per-row (2, 2, k) matrices for a code array.
 _PAULI_STACK = np.stack([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
                          np.diag([1, -1])], axis=2).astype(np.complex128)
-_PAULIS = {p: _PAULI_STACK[:, :, [c]] for c, p in enumerate("XYZ", 1)}
 
 # Widest fused block: one 2**4 x 2**4 matrix on four adjacent qubits.
 _FUSE_QUBITS = 4
@@ -297,12 +268,14 @@ def _compile(n, structure, slots, n_shared) -> SimpleNamespace:
     its angles are the same for every row (the last ``n_shared`` slots
     are shared).  Angles index [params columns; vals] for row ops and
     vals = [shared; fixed angles] for uni ops.  Each qubit's first op
-    before any two-qubit gate goes into the product state; then uni runs
-    become blocks and runs of row ops ``rows`` stages, each with at most
-    one op per qubit (a second op on a qubit, or an op of the other sort,
-    starts a new run) and split into the same windows; CNOT/CZ/SWAP runs
-    become permutations.  Codes after op i follow stage ``stage_of[i]``
-    (-1: the product state), a two-qubit op's through ``frames[i]``.
+    before any two-qubit gate goes into the product state; then each uni
+    run becomes one ``block`` stage and each run of row ops one ``rows``
+    stage, (kind, its (qubit, op) pairs, its windows (lo, w, the block's
+    index in ``blocks`` | the ops)), a run holding at most one op per
+    qubit (a second op on a qubit, or an op of the other sort, starts a
+    new run); CNOT/CZ/SWAP runs become permutations.  Codes after op i
+    follow stage ``stage_of[i]`` (-1: the product state), a two-qubit
+    op's through ``frames[i]``.
     """
     p = SimpleNamespace(n_row=len(slots) - n_shared, blocks=[], stages=[],
                         frames={})
@@ -351,15 +324,18 @@ def _compile(n, structure, slots, n_shared) -> SimpleNamespace:
             p.stages.append(("perm",) + _permutation(n, gates))
             for j, i in enumerate(twos):
                 p.frames[i] = _frame(n, gates[j][1], gates[j + 1:])
-        for lo, w, gs in windows(run):
-            p.stages.append(("block", len(p.blocks)))
-            p.blocks.append((lo, w, np.arange(len(factors),
-                                              len(factors) + w)))
-            factors.extend(gs)
+        if run:  # a block window's third entry: its index in p.blocks
+            wins = []
+            for lo, w, gs in windows(run):
+                wins.append((lo, w, len(p.blocks)))
+                p.blocks.append((lo, w, np.arange(len(factors),
+                                                  len(factors) + w)))
+                factors.extend(gs)
+            p.stages.append(("block", tuple(run.items()), wins))
         if row_run:
             p.stages.append(("rows", tuple(row_run.items()), [
                 (lo, w, np.array(gs)) for lo, w, gs in windows(row_run)]))
-        # its stages act on distinct qubits: all codes follow the last
+        # its one stage acts on distinct qubits: all codes follow it
         p.stage_of += [len(p.stages) - 1] * (end - len(p.stage_of))
         for pending in (twos, run, row_run):
             pending.clear()
@@ -390,12 +366,25 @@ _plan = functools.lru_cache(maxsize=128)(_compile)
 
 
 def _gate_matrices(kind: str, angles) -> np.ndarray:
-    """(2, 2) + angle-shape matrices of a one-qubit gate kind."""
-    if kind == "RY":
-        return _ry(angles[0])
+    """(2, 2) + angle-shape matrices of a one-qubit gate kind: RY real, RZ
+    and U3 complex, U3's shape the broadcast shape of its angles."""
+    theta, *rest = (np.atleast_1d(np.asarray(a, dtype=np.float64))
+                    for a in angles)
     if kind == "RZ":
-        return _rz(angles[0])
-    return _u3(*angles)
+        zero = np.zeros_like(theta)
+        return np.array([[np.exp(-0.5j * theta), zero],
+                         [zero, np.exp(0.5j * theta)]])
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    if kind == "RY":
+        return np.array([[c, -s], [s, c]])
+    phi, lam = rest
+    m = np.empty((2, 2) + np.broadcast_shapes(theta.shape, phi.shape,
+                                              lam.shape), dtype=np.complex128)
+    m[0, 0] = c
+    m[0, 1] = -np.exp(1j * lam) * s
+    m[1, 0] = np.exp(1j * phi) * s
+    m[1, 1] = np.exp(1j * (phi + lam)) * c
+    return m
 
 
 def _prepare(circuit: Circuit, params, shared) -> SimpleNamespace:
@@ -486,9 +475,8 @@ def _run(bound: SimpleNamespace, paulis: dict | None = None,
     if the run ends rows-first, else a rows-last state's transposed view.
     The state changes layout only where a stage needs the other: ``rows``
     stages run rows-first, blocks rows-last, and the rest on either.
-    ``keep`` maps stage s to the rows-last state before it, for rows
-    stages, a first perm and each block that starts a group of blocks on
-    ascending, disjoint qubits; nothing writes a kept state again."""
+    ``keep`` gets rows-last copies of the product state, at -1, and of
+    the input of each block and rows stage s, at s."""
     circuit, plan, mats = bound.circuit, bound.plan, bound.mats
     after = {}  # stage -> the ops whose codes follow it, in op order
     for i in sorted(paulis or ()):
@@ -503,27 +491,23 @@ def _run(bound: SimpleNamespace, paulis: dict | None = None,
         psi[:1 << q] *= v[0]
     if -1 in after:
         _insert_paulis(psi, circuit, plan, paulis, after[-1])
+    if keep is not None:
+        keep[-1] = psi.copy()
     tmp = np.empty_like(psi)
     rows_first = False  # psi is (k, 2**n), not (2**n, k)
-    start = MAX_QUBITS  # a block from this qubit on joins the kept group
     for s, (kind, *args) in enumerate(plan.stages):
-        if keep is not None and (kind == "rows" or kind == "perm" and not s):
+        if keep is not None and kind != "perm":
             keep[s] = psi.T.copy() if rows_first else psi.copy()
         if kind != "perm" and rows_first == (kind == "block"):
             psi, tmp = _transpose(psi, tmp)
             rows_first = not rows_first
         if kind == "block":
-            lo, w, _ = plan.blocks[args[0]]
-            if keep is not None and lo < start:  # w = 1 works in place
-                keep[s] = psi if w > 1 else psi.copy()
-            psi, tmp = _apply_block(psi, tmp, lo, w, bound.blocks[args[0]])
-            if keep and tmp is keep.get(s):
-                tmp = np.empty_like(tmp)
+            for lo, w, b in args[1]:
+                psi, tmp = _apply_block(psi, tmp, lo, w, bound.blocks[b])
         elif kind == "rows":
             psi, tmp = _apply_rows(psi, tmp, mats, args[1])
         else:
             psi, tmp = _apply_perm(psi, tmp, *args, rows_first)
-        start = lo + w if kind == "block" else MAX_QUBITS
         if after and s in after:  # on the (2**n, k) view of either layout
             _insert_paulis(psi.T if rows_first else psi, circuit, plan,
                            paulis, after[s])
@@ -623,13 +607,13 @@ def z_expectations(circuit: Circuit, params: np.ndarray,
     S) and shared slot gradients (S,) summed over the rows, S =
     len(shared).  This is the adjoint method (Jones & Gacon 2020,
     arXiv:2009.02823) for H_b = sum_q weights[b, q] Z_q: the forward keeps
-    phi, its state before each rows stage and block group, and one reverse
-    sweep of the same binding carries lambda = H_b psi alone, reading 2 Re
+    phi, its state before each one-qubit stage, and one reverse sweep of
+    the same binding carries lambda = H_b psi alone, reading 2 Re
     <lambda|dU|phi> per slot from 2x2 overlaps with the kept phi.
     """
     bound = _prepare(circuit, params, shared)
     plan, k, n = bound.plan, bound.k, circuit.n_qubits
-    kept = {}  # kept[0] is the product state, if any stage follows it
+    kept = {}  # kept[-1] is the product state
     final = _run(bound, keep=kept).T  # rows-last, for the sweep
     z = pauli_z_expectations_batch(final.T.astype(complex, order="C"), n)
 
@@ -638,45 +622,44 @@ def z_expectations(circuit: Circuit, params: np.ndarray,
         if weights.shape != (k, n):
             raise SimulationError(f"weights {weights.shape} are not {(k, n)}")
         lam = np.multiply(final, _z_signs(n) @ weights.T, order="C")
-        tmp, group = np.empty_like(lam), []  # blocks undone since a kept phi
-        # overlaps M after U^dag: per op and row (the identity's entry takes
-        # the identity factors' and goes unread), per block factor row-summed
+        tmp = np.empty_like(lam)
+        # overlaps M after U^dag: per op and row, a block op's row-summed in
+        # row 0 (the identity's entry takes identity factors' and goes unread)
         ms = np.zeros((plan.size + 1, k, 2, 2), complex)
-        m_factor = np.empty((len(plan.factor_ops), 2, 2), complex)
         for s in range(len(plan.stages) - 1, -1, -1):
-            stage = plan.stages[s]
-            if stage[0] == "block":
-                lo, w, _ = plan.blocks[stage[1]]
-                lam, tmp = _apply_block(lam, tmp, lo, w,
-                                        bound.blocks[stage[1]].conj().T)
-                group.append(plan.blocks[stage[1]])
-                if s in kept:  # blocks on distinct qubits commute
-                    lam_c = lam.conj()
-                    for lo, w, fidx in group:  # row-summed overlaps
-                        x = lam_c.reshape(-1, 1 << w, k << lo)
-                        y = kept[s].reshape(x.shape).transpose(0, 2, 1)
-                        m = (x @ y).sum(axis=0).ravel()
-                        m = _partial_traces(w, m.dtype) @ m
-                        m_factor[fidx] = m.reshape(w, 2, 2)
-                    group = []
-            elif stage[0] == "rows":  # ops on distinct qubits commute
-                for q, g in stage[1]:
+            kind, *args = plan.stages[s]
+            if kind == "perm":  # undo psi[i] <- +-psi[perm[i]]
+                perm, neg = args
+                if neg is not None:
+                    np.negative(lam, out=lam, where=neg[:, None])
+                if perm is not None:
+                    tmp[perm] = lam
+                    lam, tmp = tmp, lam
+                continue
+            # undo the stage; its ops act on distinct qubits, so commute
+            ops, wins = args
+            if kind == "block":
+                for lo, w, b in reversed(wins):
+                    lam, tmp = _apply_block(lam, tmp, lo, w,
+                                            bound.blocks[b].conj().T)
+                lam_c = lam.conj()
+                for lo, w, b in wins:
+                    x = lam_c.reshape(-1, 1 << w, k << lo)
+                    y = kept[s].reshape(x.shape).transpose(0, 2, 1)
+                    m = (x @ y).sum(axis=0).ravel()
+                    ms[plan.factor_ops[plan.blocks[b][2]], 0] = (
+                        _partial_traces(w, m.dtype) @ m).reshape(w, 2, 2)
+            else:
+                for q, g in ops:
                     _apply_1q(lam, tmp, q,
                               bound.mats[:, :, g].conj().transpose(1, 0, 2))
-                qs, gs = zip(*stage[1])
+                qs, gs = zip(*ops)
                 ms[list(gs)] = _qubit_overlaps(lam, kept[s], qs)
-            else:  # undo psi[i] <- +-psi[perm[i]]
-                if stage[2] is not None:
-                    np.negative(lam, out=lam, where=stage[2][:, None])
-                if stage[1] is not None:
-                    tmp[stage[1]] = lam
-                    lam, tmp = tmp, lam
-        ms[plan.factor_ops, 0] = m_factor  # a block's ops: in row 0 only
         # each qubit's first op acts on |0>: with M the overlap at the
         # product state, its <lambda|dU U^dag|phi> is sum(D * U^T M conj(U))
         if plan.product:
             qs, gs = map(list, zip(*plan.product))
-            m = _qubit_overlaps(lam, kept.get(0, final), qs)
+            m = _qubit_overlaps(lam, kept[-1], qs)
             u = bound.mats[:, :, gs].transpose(2, 3, 0, 1)  # (G, k, 2, 2)
             ut, uc = u.swapaxes(2, 3), u.conj()
             m = ut[..., :1] * m[..., :1, :] + ut[..., 1:] * m[..., 1:, :]
@@ -721,12 +704,13 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
 
 def apply_pauli(state: StateVector, pauli: str, qubit: int) -> StateVector:
     """Apply a single Pauli X/Y/Z; returns a new state."""
-    if pauli not in _PAULIS:
+    if pauli not in ("X", "Y", "Z"):
         raise SimulationError(f"unknown Pauli {pauli!r}")
     if not 0 <= qubit < state.n_qubits:
         raise SimulationError(f"qubit {qubit} out of range")
     psi = state.amplitudes.reshape(-1, 1).copy()
-    _apply_1q(psi, np.empty_like(psi), qubit, _PAULIS[pauli])
+    _apply_1q(psi, np.empty_like(psi), qubit,
+              _PAULI_STACK[:, :, ["XYZ".index(pauli) + 1]])
     return StateVector(state.n_qubits, psi[:, 0])
 
 

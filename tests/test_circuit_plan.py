@@ -1,8 +1,9 @@
 """Compiled circuit plans against the dense oracle and parameter shift.
 
-A plan runs a product state, fused blocks of same-angle one-qubit gates
-(at most one gate per qubit in a block), per-row Kronecker blocks of
-runs of per-row gates on distinct qubits, and permutation stages.  Every check here compares with
+A plan runs a product state, one stage of fused blocks per run of
+same-angle one-qubit gates (at most one gate per qubit in a run), one
+stage of per-row Kronecker blocks per run of per-row gates on distinct
+qubits, and permutation stages.  Every check here compares with
 ``tests/oracles.py`` matrices or shifted expectation values computed
 from them, never with the plan itself, except that repeated adjoint calls
 on one binding must also equal fresh ones bit for bit.
@@ -137,8 +138,7 @@ def test_a_second_gate_on_a_qubit_starts_a_new_block():
     c.add("CNOT", (1, 0))
     c.add("CNOT", (2, 1))
     plan = statevector._compile(*_key(c, c.n_params - 3))
-    assert [plan.blocks[st[1]][:2] for st in plan.stages
-            if st[0] == "block"] == [(1, 1), (1, 2), (1, 1)]
+    assert _windows(plan, "block") == [[(1, 1)], [(1, 2)], [(1, 1)]]
     rng = np.random.default_rng(11)
     full = rng.uniform(0, 2 * np.pi, (2, c.n_params))
     full[:, 3:] = full[0, 3:]
@@ -175,8 +175,7 @@ def test_pauli_code_inside_a_block_keeps_it_fused():
             rtol=0, atol=1e-12)
     assert statevector._plan.cache_info().misses == 1
     plan = statevector._plan(*_key(c, 0))
-    assert [plan.blocks[st[1]][:2] for st in plan.stages
-            if st[0] == "block"] == [(0, 4)]
+    assert _windows(plan, "block") == [[(0, 4)]]
 
 
 def _row_run_circuit(rng, n, real, n_layers=3):
@@ -210,10 +209,10 @@ def _row_run_circuit(rng, n, real, n_layers=3):
     return c, len(shared)
 
 
-def _rows_windows(plan):
-    """Per ``rows`` stage of the plan, its (lo, w) windows."""
+def _windows(plan, kind="rows"):
+    """Per stage of ``kind`` in the plan, its (lo, w) windows."""
     return [[(lo, w) for lo, w, _ in st[2]] for st in plan.stages
-            if st[0] == "rows"]
+            if st[0] == kind]
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -273,8 +272,8 @@ def test_per_row_runs_end_at_repeats_and_shared_ops():
     plan = statevector._compile(*_key(c, 1))
     assert [st[0] for st in plan.stages] == [
         "perm", "rows", "perm", "rows", "rows", "block", "rows"]
-    assert _rows_windows(plan) == [[(0, 4), (5, 2)], [(1, 4), (5, 2)],
-                                   [(3, 1)], [(5, 2)]]
+    assert _windows(plan) == [[(0, 4), (5, 2)], [(1, 4), (5, 2)],
+                              [(3, 1)], [(5, 2)]]
     assert [len(st[1]) for st in plan.stages if st[0] == "rows"] == [
         5, 6, 1, 2]
     rng = np.random.default_rng(13)
@@ -312,7 +311,28 @@ def test_all_per_row_layers_are_one_rows_stage_each():
         build_ansatz(spec, np.zeros(param_count(spec))))
     plan = statevector._compile(*_key(circuit, 0))
     assert [st[0] for st in plan.stages] == ["rows", "perm", "rows", "perm"]
-    assert _rows_windows(plan) == [[(0, 4), (4, 2)]] * 2
+    assert _windows(plan) == [[(0, 4), (4, 2)]] * 2
+
+
+def test_each_shared_layer_is_one_block_stage_with_one_kept_input():
+    # encoder + ESE2 6q/4L with theta shared, as in ddpm_train_q6: each
+    # U3 layer is one block stage of two blocks, on qubits 0..3 and 4..5,
+    # and an adjoint run keeps the product state and each such stage's
+    # input, nothing for the permutations
+    spec = AnsatzSpec(AnsatzKind.ESE2, 6, 4)
+    circuit = build_trainable_encoder(6).extended(
+        build_ansatz(spec, np.zeros(param_count(spec))))
+    plan = statevector._compile(*_key(circuit, param_count(spec)))
+    assert [st[0] for st in plan.stages] == ["block", "perm"] * 4
+    assert _windows(plan, "block") == [[(0, 4), (4, 2)]] * 4
+    rng = np.random.default_rng(8)
+    bound = statevector._prepare(
+        circuit, rng.uniform(0, 2 * np.pi, (3, 6)),
+        rng.uniform(0, 2 * np.pi, param_count(spec)))
+    kept = {}
+    statevector._run(bound, keep=kept)
+    assert set(kept) == {-1} | {s for s, st in enumerate(plan.stages)
+                                if st[0] != "perm"}
 
 
 def test_rows_stages_allocate_no_state_sized_buffer():

@@ -13,7 +13,7 @@ from oracles import (
     reduced_density_oracle,
 )
 from qlatent.statevector import (
-    _PAULIS,
+    _PAULI_STACK,
     Circuit,
     GateOp,
     SimulationError,
@@ -345,7 +345,7 @@ def test_in_place_gate_lands_in_any_2d_layout():
     psi = (rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))).T
     want = psi[[i ^ 2 for i in range(8)]]  # X on qubit 1 flips bit 1
     assert not psi.flags.c_contiguous
-    _apply_1q(psi, np.empty_like(psi), 1, _PAULIS["X"])
+    _apply_1q(psi, np.empty_like(psi), 1, _PAULI_STACK[:, :, [1]])
     np.testing.assert_array_equal(psi, want)
 
 
@@ -353,7 +353,7 @@ def test_in_place_gate_refuses_a_state_whose_writes_would_be_lost():
     x = np.arange(24, dtype=complex).reshape(3, 4, 2)
     psi = x.transpose(2, 1, 0)
     with pytest.raises(SimulationError, match="non-C-contiguous"):
-        _apply_1q(psi, np.empty_like(psi), 0, _PAULIS["X"])
+        _apply_1q(psi, np.empty_like(psi), 0, _PAULI_STACK[:, :, [1]])
     state = np.ones((4, 2), complex)
     with pytest.raises(SimulationError, match="C-contiguous scratch"):
         _apply_block(state, np.empty((2, 4), complex).T, 0, 2,
