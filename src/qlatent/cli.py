@@ -16,6 +16,7 @@ import argparse
 import csv
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -100,42 +101,26 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([str(v) for v in row])
 
 
-def _parse_ints(text: str) -> list[int]:
+def _parse_list(text: str, convert, what: str) -> list:
+    """The comma-separated items of ``text`` through ``convert``, blank
+    items skipped; a ``ValueError`` from ``convert`` names ``what``."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [convert(tok.strip()) for tok in text.split(",")
+                if tok.strip()]
     except ValueError:
-        raise ValueError(f"expected comma-separated integers: {text!r}") \
+        raise ValueError(f"expected comma-separated {what}: {text!r}") \
             from None
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"expected comma-separated numbers: {text!r}") \
-            from None
+def _kind(text: str) -> AnsatzKind:
+    return AnsatzKind(text.upper())
 
 
-def _parse_kinds(text: str) -> list[AnsatzKind]:
-    kinds = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            kinds.append(AnsatzKind(tok.upper()))
-        except ValueError:
-            names = ", ".join(k.value for k in AnsatzKind)
-            raise ValueError(
-                f"unknown ansatz kind {tok!r} (choose from {names})") \
-                from None
-    if not kinds:
-        raise ValueError("no ansatz kinds given")
-    return kinds
+_KINDS = f"ansatz kinds ({', '.join(k.value for k in AnsatzKind)})"
 
 
 def _one_kind(text: str) -> AnsatzKind:
-    kinds = _parse_kinds(text)
+    kinds = _parse_list(text, _kind, _KINDS)
     if len(kinds) != 1:
         raise ValueError(f"q_kind: name exactly one ansatz kind, got {text!r}")
     return kinds[0]
@@ -148,24 +133,32 @@ def _alpha_tag(alpha: float) -> str:
 # ---- shared schema pieces ----------------------------------------------
 
 _SEED = Field("seed", int, 0, help="base RNG seed")
-_QUANTUM_FIELDS = [
+# the settings train-vae and train-ddpm share
+_TRAIN_FIELDS = [
+    _SEED,
+    Field("data", str, "", help="path to a dataset manifest.csv"),
+    Field("epochs", int, 2, low=1, help="training epochs"),
+    Field("batch_size", int, 16, low=1, help="images or latents per step"),
+    Field("learning_rate", float, 1e-3, help="Adam learning rate"),
+    Field("base_channels", int, 32, help="first conv or UNet stem width"),
+    Field("quarter_train", bool, False, help="keep every 4th train row"),
+    Field("max_images", int, 0, help="cap train images (0 = all)"),
     Field("quantum", bool, False, help="use quantum residual blocks"),
     Field("q_qubits", int, 4, help="qubits per quantum layer"),
     Field("q_layers", int, 2, help="ansatz layers per quantum layer"),
     Field("q_kind", str, "ESE2", help="ansatz kind for quantum layers"),
 ]
-_EVAL_FIELDS = [
+# the settings evaluate and compare-models share
+_SCORE_FIELDS = [
+    _SEED,
+    Field("data", str, "", help="path to the real dataset manifest.csv"),
+    Field("split", str, "test", choices=("train", "val", "test"),
+          help="real split to compare against"),
     Field("embed_method", str, "pool", choices=EMBED_METHODS,
           help="feature embedding for distribution metrics"),
-    Field("knn_k", int, 3, help="k for precision/recall neighbourhoods"),
+    Field("knn_k", int, 3, low=1,
+          help="k for precision/recall neighbourhoods"),
 ]
-
-
-def _require_min(cfg: dict, **lows: int) -> None:
-    """Reject the first integer setting below its lower bound."""
-    for key, low in lows.items():
-        if cfg[key] < low:
-            raise ValueError(f"{key}: must be >= {low}")
 
 
 def _require_file(path_text: str, what: str) -> Path:
@@ -272,6 +265,8 @@ def _fit(cfg: dict, out: Path, model, kind: str, stem: str, echo: dict,
 
 
 def _load_images_for_training(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    if cfg["learning_rate"] <= 0:
+        raise ValueError("learning_rate: must be > 0")
     manifest = _require_file(cfg["data"], "data")
     images, labels = load_split(manifest, "train",
                                 quarter_train=cfg["quarter_train"])
@@ -288,9 +283,9 @@ SCHEMA_BENCH = [
     Field("kinds", str, "SE,ESE1,ESE2", help="comma list of ansatz kinds"),
     Field("qubits", str, "4,6,8", help="comma list of qubit counts"),
     Field("layers", int, 6, help="ansatz depth L"),
-    Field("gv_samples", int, 100, help="gradient samples per point"),
-    Field("ee_draws", int, 30, help="random draws for entropy stats"),
-    Field("shots", int, 2000, help="shots per noisy sampling run"),
+    Field("gv_samples", int, 100, low=30, help="gradient samples per point"),
+    Field("ee_draws", int, 30, low=2, help="random draws for entropy stats"),
+    Field("shots", int, 2000, low=1, help="shots per noisy sampling run"),
     Field("readout_alpha", float, 0.05, help="readout flip probability"),
     Field("p1", float, 5e-4, help="one-qubit depolarizing rate"),
     Field("p2", float, 1e-2, help="two-qubit depolarizing rate"),
@@ -299,13 +294,14 @@ SCHEMA_BENCH = [
 
 
 def check_bench(cfg: dict) -> dict:
-    kinds = _parse_kinds(cfg["kinds"])
-    qubits = _parse_ints(cfg["qubits"])
+    kinds = _parse_list(cfg["kinds"], _kind, _KINDS)
+    if not kinds:
+        raise ValueError("no ansatz kinds given")
+    qubits = _parse_list(cfg["qubits"], int, "integers")
     if not qubits or any(n < 2 for n in qubits):
         raise ValueError("qubits: need counts >= 2")
     if sorted(set(qubits)) != qubits:
         raise ValueError("qubits: must be strictly increasing")
-    _require_min(cfg, gv_samples=30, ee_draws=2, shots=1)
     noise = NoiseModel(readout_alpha=cfg["readout_alpha"], p1=cfg["p1"],
                        p2=cfg["p2"], trajectories=cfg["trajectories"])
     for n in qubits:
@@ -403,24 +399,19 @@ def run_bench(cfg: dict, out: Path, ctx: dict) -> None:
 
 SCHEMA_MAKE_DATASET = [
     _SEED,
-    Field("n_images", int, 300, help="total images to generate"),
+    Field("n_images", int, 300, low=5, help="total images to generate"),
     Field("image_size", int, 64, help="square image side in pixels"),
 ]
 
 
 def check_make_dataset(cfg: dict) -> dict:
-    _require_min(cfg, n_images=5)
-    params = FundusParams(size=cfg["image_size"])
-    return {"params": params}
+    return {"params": FundusParams(size=cfg["image_size"])}
 
 
 def run_make_dataset(cfg: dict, out: Path, ctx: dict) -> None:
     manifest = generate_dataset(out / "dataset", cfg["n_images"],
                                 cfg["seed"], params=ctx["params"])
-    rows = load_manifest(manifest)
-    counts = {"train": 0, "val": 0, "test": 0}
-    for row in rows:
-        counts[row["split"]] += 1
+    counts = Counter(row["split"] for row in load_manifest(manifest))
     log = [f"manifest = {manifest}"]
     log += [f"{split} images = {counts[split]}"
             for split in ("train", "val", "test")]
@@ -429,25 +420,14 @@ def run_make_dataset(cfg: dict, out: Path, ctx: dict) -> None:
 
 # ---- train-vae ---------------------------------------------------------
 
-SCHEMA_TRAIN_VAE = [
-    _SEED,
-    Field("data", str, "", help="path to a dataset manifest.csv"),
-    Field("epochs", int, 2, help="training epochs"),
-    Field("batch_size", int, 16, help="images per step"),
-    Field("learning_rate", float, 1e-3, help="Adam learning rate"),
-    Field("base_channels", int, 32, help="first conv width"),
+SCHEMA_TRAIN_VAE = _TRAIN_FIELDS + [
     Field("latent_channels", int, 4, help="latent channels"),
     Field("kl_weight", float, 1e-6, help="KL term weight"),
     Field("ssim_weight", float, 1.0, help="SSIM term weight"),
-    Field("quarter_train", bool, False, help="keep every 4th train row"),
-    Field("max_images", int, 0, help="cap train images (0 = all)"),
-] + _QUANTUM_FIELDS
+]
 
 
 def check_train_vae(cfg: dict) -> dict:
-    _require_min(cfg, epochs=1, batch_size=1)
-    if cfg["learning_rate"] <= 0:
-        raise ValueError("learning_rate: must be > 0")
     images, labels = _load_images_for_training(cfg)
     config = config_from_echo(VAEConfig, dict(
         cfg, q_kind=_one_kind(cfg["q_kind"]), image_size=images.shape[2]))
@@ -480,27 +460,16 @@ def run_train_vae(cfg: dict, out: Path, ctx: dict) -> None:
 
 # ---- train-ddpm --------------------------------------------------------
 
-SCHEMA_TRAIN_DDPM = [
-    _SEED,
-    Field("data", str, "", help="path to a dataset manifest.csv"),
+SCHEMA_TRAIN_DDPM = _TRAIN_FIELDS + [
     Field("vae_checkpoint", str, "", help="trained VAE (.qldm)"),
-    Field("epochs", int, 2, help="training epochs"),
-    Field("batch_size", int, 16, help="latents per step"),
-    Field("learning_rate", float, 1e-3, help="Adam learning rate"),
-    Field("base_channels", int, 32, help="UNet stem width"),
     Field("time_dim", int, 64, help="time embedding width"),
     Field("timesteps", int, 1000, help="diffusion steps T"),
     Field("beta_start", float, 1e-4, help="first beta"),
     Field("beta_end", float, 0.02, help="last beta"),
-    Field("quarter_train", bool, False, help="keep every 4th train row"),
-    Field("max_images", int, 0, help="cap train images (0 = all)"),
-] + _QUANTUM_FIELDS
+]
 
 
 def check_train_ddpm(cfg: dict) -> dict:
-    _require_min(cfg, epochs=1, batch_size=1)
-    if cfg["learning_rate"] <= 0:
-        raise ValueError("learning_rate: must be > 0")
     vae, _ = _load_model(cfg["vae_checkpoint"], "vae_checkpoint", "vae")
     images, labels = _load_images_for_training(cfg)
     if images.shape[2] != vae.config.image_size:
@@ -563,28 +532,28 @@ SCHEMA_SAMPLE = [
     _SEED,
     Field("vae_checkpoint", str, "", help="trained VAE (.qldm)"),
     Field("ddpm_checkpoint", str, "", help="trained UNet (.qldm)"),
-    Field("n_per_class", int, 4, help="images per class per alpha"),
-    Field("steps", int, 100, help="sampling steps"),
+    Field("n_per_class", int, 4, low=1, help="images per class per alpha"),
+    Field("steps", int, 100, low=2, help="sampling steps"),
     Field("alphas", str, "0", help="comma list of readout error rates"),
-    Field("shots", int, 1000, help="shots for the sampled quantum path"),
+    Field("shots", int, 1000, low=1,
+          help="shots for the sampled quantum path"),
     Field("trajectories", int, 50, help="Pauli trajectories per run"),
     Field("p1", float, 0.0, help="one-qubit gate error while sampling"),
     Field("p2", float, 0.0, help="two-qubit gate error while sampling"),
     Field("mitigate", bool, False, help="apply confusion-matrix mitigation"),
-    Field("batch_size", int, 16, help="sampling batch size"),
+    Field("batch_size", int, 16, low=1, help="sampling batch size"),
 ]
 
 
 def check_sample(cfg: dict) -> dict:
     pair = _load_pair(cfg, "vae_checkpoint", "ddpm_checkpoint")
-    alphas = _parse_floats(cfg["alphas"])
+    alphas = _parse_list(cfg["alphas"], float, "numbers")
     if not alphas:
         raise ValueError("alphas: need at least one value")
     written = [f"{a:g}" for a in alphas]
     clash = [repr(a) for a, w in zip(alphas, written) if written.count(w) > 1]
     if clash:
         raise ValueError(f"alphas: {', '.join(clash)} print as one value")
-    _require_min(cfg, n_per_class=1, steps=2, batch_size=1, shots=1)
     # the noise model per alpha, None for exact runs; any nonzero setting
     # builds one, so values out of range are rejected here
     noises = [NoiseModel(readout_alpha=a, p1=cfg["p1"], p2=cfg["p2"],
@@ -623,17 +592,12 @@ def run_sample(cfg: dict, out: Path, ctx: dict) -> None:
 
 # ---- evaluate ----------------------------------------------------------
 
-SCHEMA_EVALUATE = [
-    _SEED,
-    Field("data", str, "", help="path to the real dataset manifest.csv"),
-    Field("split", str, "test", choices=("train", "val", "test"),
-          help="real split to compare against"),
+SCHEMA_EVALUATE = _SCORE_FIELDS + [
     Field("generated", str, "", help="path to a samples.csv manifest"),
-] + _EVAL_FIELDS
+]
 
 
 def check_evaluate(cfg: dict) -> dict:
-    _require_min(cfg, knn_k=1)
     real_manifest = _require_file(cfg["data"], "data")
     gen_manifest = _require_file(cfg["generated"], "generated")
     real_images, real_labels = load_split(real_manifest, cfg["split"])
@@ -726,20 +690,15 @@ def run_evaluate(cfg: dict, out: Path, ctx: dict) -> None:
 
 # ---- compare-models ----------------------------------------------------
 
-SCHEMA_COMPARE_BASE = [
-    _SEED,
-    Field("data", str, "", help="path to the real dataset manifest.csv"),
-    Field("split", str, "test", choices=("train", "val", "test"),
-          help="real split to compare against"),
+SCHEMA_COMPARE_BASE = _SCORE_FIELDS + [
     Field("variants", str, "", help="comma list of variant names"),
-    Field("n_per_class", int, 4, help="samples per class per variant"),
-    Field("steps", int, 50, help="sampling steps"),
-] + _EVAL_FIELDS
+    Field("n_per_class", int, 4, low=1, help="samples per class per variant"),
+    Field("steps", int, 50, low=2, help="sampling steps"),
+]
 
 
 def _compare_schema(raw: dict[str, str]) -> list[Field]:
-    names = [tok.strip() for tok in raw.get("variants", "").split(",")
-             if tok.strip()]
+    names = _parse_list(raw.get("variants", ""), str, "names")
     schema = list(SCHEMA_COMPARE_BASE)
     for name in names:
         schema.append(Field(f"{name}_vae", str, "",
@@ -752,11 +711,9 @@ def _compare_schema(raw: dict[str, str]) -> list[Field]:
 
 
 def check_compare(cfg: dict) -> dict:
-    names = [tok.strip() for tok in cfg["variants"].split(",")
-             if tok.strip()]
+    names = _parse_list(cfg["variants"], str, "names")
     if not names:
         raise ValueError("variants: need at least one name")
-    _require_min(cfg, n_per_class=1, steps=2, knn_k=1)
     real_manifest = _require_file(cfg["data"], "data")
     real_images, real_labels = load_split(real_manifest, cfg["split"])
     variants = {}

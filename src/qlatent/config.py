@@ -18,12 +18,14 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
 
 @dataclass(frozen=True)
 class Field:
-    """One schema entry: type, default, and optional allowed choices."""
+    """One schema entry: type, default, optional allowed choices, and
+    optional least value."""
 
     name: str
     kind: type
     default: object
     choices: tuple = ()
+    low: float | None = None
     help: str = ""
 
 
@@ -95,7 +97,8 @@ def _coerce(field: Field, text: str):
 
 def resolve(schema: list[Field], file_values: dict[str, str],
             overrides: dict[str, str]) -> dict:
-    """Defaults, then file values, then overrides, coerced and checked."""
+    """Defaults, then file values, then overrides, coerced and checked
+    against each field's choices and least value."""
     by_name = {f.name: f for f in schema}
     resolved = {f.name: f.default for f in schema}
     for layer in (file_values, overrides):
@@ -107,10 +110,13 @@ def resolve(schema: list[Field], file_values: dict[str, str],
                                  f"(known keys: {known})")
             resolved[key] = _coerce(field, text)
     for field in schema:
-        if field.choices and resolved[field.name] not in field.choices:
+        value = resolved[field.name]
+        if field.choices and value not in field.choices:
             raise ValueError(
-                f"{field.name}: default {resolved[field.name]!r} "
+                f"{field.name}: default {value!r} "
                 f"not in {sorted(field.choices)}")
+        if field.low is not None and value < field.low:
+            raise ValueError(f"{field.name}: must be >= {field.low}")
     return resolved
 
 

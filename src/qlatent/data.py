@@ -240,30 +240,16 @@ def load_manifest(manifest_path, columns=_MANIFEST_COLUMNS) -> list[dict]:
     return rows
 
 
-def quarter_train_rows(rows: list[dict]) -> list[dict]:
-    """Keep every fourth training row (plus all val/test rows).
-
-    Deterministic data-budget ablation: the reduced set is a fixed
-    subset, not a resample.
-    """
-    out = []
-    kept = 0
-    for row in rows:
-        if row["split"] != "train":
-            out.append(row)
-            continue
-        if kept % 4 == 0:
-            out.append(row)
-        kept += 1
-    return out
-
-
 def load_split(manifest_path, split: str, quarter_train: bool = False):
-    """Images (N, 3, H, W) in [0, 1] and labels (N,) for one split."""
-    rows = load_manifest(manifest_path)
-    if quarter_train:
-        rows = quarter_train_rows(rows)
-    rows = [r for r in rows if r["split"] == split]
+    """Images (N, 3, H, W) in [0, 1] and labels (N,) for one split.
+
+    ``quarter_train`` keeps every fourth row of the train split, a
+    deterministic data-budget ablation: the reduced set is a fixed
+    subset, not a resample.  Val and test are never reduced.
+    """
+    rows = [r for r in load_manifest(manifest_path) if r["split"] == split]
+    if quarter_train and split == "train":
+        rows = rows[::4]
     if not rows:
         raise ValueError(f"no rows in split {split!r}")
     return load_images(manifest_path, rows)

@@ -77,13 +77,6 @@ class EmpiricalDistribution:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    @classmethod
-    def from_samples(cls, samples: list[str], n_qubits: int) -> "EmpiricalDistribution":
-        counts: dict[str, int] = {}
-        for s in samples:
-            counts[s] = counts.get(s, 0) + 1
-        return cls(n_qubits, counts)
-
     def marginals(self) -> np.ndarray:
         """Per-qubit empirical probability of measuring 1.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .statevector import MAX_QUBITS, Circuit, SimulationError, TWO_QUBIT_GATES
+from .statevector import Circuit, TWO_QUBIT_GATES
 
 
 @dataclass
@@ -33,8 +33,6 @@ class RoutedCircuit:
 def route_to_linear_chain(circuit: Circuit) -> RoutedCircuit:
     """Rewrite the circuit so every two-qubit gate acts on adjacent wires."""
     n = circuit.n_qubits
-    if n > MAX_QUBITS:
-        raise SimulationError(f"routing capped at {MAX_QUBITS} qubits")
     layout = list(range(n))            # logical -> physical
     inverse = list(range(n))           # physical -> logical
     out = Circuit(n)
@@ -44,23 +42,20 @@ def route_to_linear_chain(circuit: Circuit) -> RoutedCircuit:
         slot_of.setdefault(pos[0], []).append((s, pos[1]))
     new_slots: list[tuple[int, int]] = [(-1, -1)] * circuit.n_params
 
-    def emit(kind, targets, params=()):
-        out.add(kind, targets, params)
-
     for i, op in enumerate(circuit.ops):
         if op.kind not in TWO_QUBIT_GATES:
-            emit(op.kind, (layout[op.targets[0]],), op.params)
+            out.add(op.kind, (layout[op.targets[0]],), op.params)
         else:
             pa, pb = layout[op.targets[0]], layout[op.targets[1]]
             while abs(pa - pb) > 1:
                 step = pa + (1 if pb > pa else -1)
-                emit("SWAP", (pa, step))
+                out.add("SWAP", (pa, step))
                 la, lb = inverse[pa], inverse[step]
                 layout[la], layout[lb] = step, pa
                 inverse[pa], inverse[step] = lb, la
                 pa = step
                 swaps += 1
-            emit(op.kind, (pa, pb), op.params)
+            out.add(op.kind, (pa, pb), op.params)
         for s, angle_idx in slot_of.get(i, ()):
             new_slots[s] = (len(out.ops) - 1, angle_idx)
     out.param_slots = new_slots

@@ -451,6 +451,35 @@ def test_compare_models_rejects_bad_sizes(pipeline, tmp_path, capsys,
     assert not (tmp_path / "compare_models_config.txt").exists()
 
 
+def _schema(command):
+    """The command's schema; compare-models' with one variant ``v``."""
+    return cli.COMMANDS[command][0] or cli._compare_schema({"variants": "v"})
+
+
+_PATH_KEYS = {"data", "generated", "vae_checkpoint", "ddpm_checkpoint",
+              "v_vae", "v_ddpm"}
+_BOUNDED = [(command, field) for command in cli.COMMANDS
+            for field in _schema(command) if field.low is not None]
+
+
+@pytest.mark.parametrize("command, field", _BOUNDED,
+                         ids=[f"{c}-{f.name}" for c, f in _BOUNDED])
+def test_each_bound_is_refused_before_any_input_is_read(tmp_path, capsys,
+                                                        command, field):
+    # every input path names a missing file, so only a bound checked
+    # before any read can be the error reported
+    argv = [command, "--out", str(tmp_path),
+            "--set", f"{field.name}={field.low - 1}"]
+    if command == "compare-models":
+        argv += ["--set", "variants=v"]
+    for key in sorted(_PATH_KEYS & {f.name for f in _schema(command)}):
+        argv += ["--set", f"{key}={tmp_path / 'missing'}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: {field.name}: must be >= {field.low}\n"
+    assert not list(tmp_path.glob("*_config.txt"))
+
+
 @pytest.mark.parametrize("command, setting, message", [
     ("train-vae", "q_qubits=1", "ansatz needs 2 to 20 qubits, got 1"),
     ("train-vae", "q_layers=0", "ansatz needs >= 1 layer, got 0"),

@@ -12,7 +12,7 @@ from qlatent.config import (
 )
 
 SCHEMA = [
-    Field("epochs", int, 2),
+    Field("epochs", int, 2, low=1),
     Field("learning_rate", float, 1e-3),
     Field("quantum", bool, False),
     Field("kind", str, "ESE2", choices=("SE", "ESE1", "ESE2")),
@@ -92,6 +92,17 @@ def test_resolve_choice_and_type_errors():
         resolve(SCHEMA, {}, {"kind": "FOO"})
     with pytest.raises(ValueError, match="expected int"):
         resolve(SCHEMA, {"epochs": "2.5"}, {})
+
+
+def test_resolve_refuses_a_value_below_low():
+    for file_values, overrides in (({"epochs": "0"}, {}),
+                                   ({}, {"epochs": "-3"})):
+        with pytest.raises(ValueError) as info:
+            resolve(SCHEMA, file_values, overrides)
+        assert str(info.value) == "epochs: must be >= 1"
+    assert resolve(SCHEMA, {}, {"epochs": "1"})["epochs"] == 1
+    # the bound holds for the resolved value, not for each layer
+    assert resolve(SCHEMA, {"epochs": "0"}, {"epochs": "4"})["epochs"] == 4
 
 
 def test_render_resolved_sorted():

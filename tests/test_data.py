@@ -8,7 +8,6 @@ from qlatent.data import (
     image_rng,
     load_manifest,
     load_split,
-    quarter_train_rows,
     read_ppm,
     split_sizes,
     write_ppm,
@@ -127,17 +126,20 @@ def test_generate_dataset_different_seeds_differ(tmp_path):
 
 def test_quarter_train_keeps_every_fourth(tmp_path):
     manifest = generate_dataset(tmp_path, 40, seed=0)
-    rows = load_manifest(manifest)
-    reduced = quarter_train_rows(rows)
-    train_all = [r for r in rows if r["split"] == "train"]
-    train_kept = [r for r in reduced if r["split"] == "train"]
+    train_all, labels_all = load_split(manifest, "train")
+    train_kept, labels_kept = load_split(manifest, "train",
+                                         quarter_train=True)
     assert len(train_all) == 24
     assert len(train_kept) == 6
-    assert [r["filename"] for r in train_kept] == \
-        [r["filename"] for r in train_all[::4]]
+    np.testing.assert_array_equal(train_kept, train_all[::4])
+    np.testing.assert_array_equal(labels_kept, labels_all[::4])
     # val and test untouched
-    assert sum(r["split"] == "val" for r in reduced) == 8
-    assert sum(r["split"] == "test" for r in reduced) == 8
+    for split, size in (("val", 8), ("test", 8)):
+        images, labels = load_split(manifest, split)
+        kept, kept_labels = load_split(manifest, split, quarter_train=True)
+        assert len(images) == size
+        np.testing.assert_array_equal(kept, images)
+        np.testing.assert_array_equal(kept_labels, labels)
 
 
 def test_load_split_shapes(tmp_path):

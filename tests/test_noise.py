@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -162,8 +163,8 @@ def test_marginals_equal_the_per_character_loop():
     exact = EmpiricalDistribution(6, {
         index_to_bitstring(i, 6): float(p) for i, p in enumerate(probs)
         if p > 0})
-    sampled = EmpiricalDistribution.from_samples(
-        sample_bitstrings(run_circuit(c, np.zeros(c.n_params)), 500, 3), 6)
+    sampled = EmpiricalDistribution(6, Counter(
+        sample_bitstrings(run_circuit(c, np.zeros(c.n_params)), 500, 3)))
     for dist in (exact, sampled):
         np.testing.assert_array_equal(dist.marginals(), _loop_marginals(dist))
 
@@ -172,8 +173,8 @@ def test_sampling_control_distance_equals_the_string_path():
     rng = np.random.default_rng(53)
     c = random_circuit(rng, 5, 25)
     st = run_circuit(c, rng.uniform(0, 2 * np.pi, c.n_params))
-    a, b = (EmpiricalDistribution.from_samples(
-        sample_bitstrings(st, 700, seed), 5) for seed in (11, 12))
+    a, b = (EmpiricalDistribution(5, Counter(sample_bitstrings(st, 700, seed)))
+            for seed in (11, 12))
     assert sampling_control_distance(st, 700, (11, 12)) == \
         expected_hamming_distance(a, b)
 
